@@ -64,10 +64,14 @@ class LegSpec:
     ``fused`` is the profile the DRX/DSA engines would execute (with
     scratchpad fusion applied); eligibility checks read the *unfused*
     ``stage.profile`` character, which describes the transform itself.
-    ``count`` > 1 marks a coalesced batch leg: all members execute on
-    the one backend the planner picks (batch members always agree on a
-    backend by construction — the decision is per coalesced leg).
-    ``drx`` is the home DRX unit the placement mode assigns this leg.
+    ``count`` is the number of coalesced members the leg carries. A
+    request is a batch of one: every backend runs one path for every
+    count, and only span attributes (``batch=`` when ``count > 1``)
+    depend on it. All members execute on the one backend the planner
+    picks (the decision is per coalesced leg). ``drx`` is the DRX unit
+    the leg is bound to — the placement mode's home unit, or the
+    alternate the control plane rerouted it to; ``None`` on the
+    Multi-Axl path, which has no DRX.
     """
 
     mode: Mode
@@ -163,10 +167,7 @@ class DRXBackend(RestructureBackend):
         s = self.system
         n = leg.count
         timing = leg.drx.timing
-        if n > 1:
-            restructure = timing.time_for_profile_batch([leg.fused] * n)
-        else:
-            restructure = timing.time_for_profile(leg.fused)
+        restructure = timing.time_for_profile_batch([leg.fused] * n)
         chain_extra = (n - 1) * s.dma.costs.chained_descriptor_s
         notify = s.notifier.costs.interrupt_s
         out_est = s.transfer_estimate(
@@ -191,17 +192,7 @@ class DRXBackend(RestructureBackend):
         )
 
     def execute(self, leg, phases, state, ctx) -> Generator:
-        s = self.system
-        if leg.count == 1:
-            yield from s._drx_motion(
-                leg.mode, leg.src, leg.dst, leg.staging, leg.drx, leg.stage,
-                leg.fused, phases, state, ctx,
-            )
-        else:
-            yield from s._batched_drx_motion(
-                leg.mode, leg.src, leg.dst, leg.staging, leg.drx, leg.stage,
-                leg.fused, leg.count, phases, state, ctx,
-            )
+        yield from self.system._drx_motion(leg, phases, state, ctx)
 
 
 class CPUBackend(RestructureBackend):
@@ -245,13 +236,4 @@ class CPUBackend(RestructureBackend):
         )
 
     def execute(self, leg, phases, state, ctx) -> Generator:
-        s = self.system
-        if leg.count == 1:
-            yield from s._multi_axl_motion(
-                leg.src, leg.dst, leg.stage, leg.threads, phases, state, ctx
-            )
-        else:
-            yield from s._batched_multi_axl_motion(
-                leg.src, leg.dst, leg.stage, leg.threads, leg.count, phases,
-                state, ctx,
-            )
+        yield from self.system._multi_axl_motion(leg, phases, state, ctx)

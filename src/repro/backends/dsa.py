@@ -207,16 +207,11 @@ class DSABackend(RestructureBackend):
         span, cctx = s._phase_span(
             ctx, "movement-in", _sys.PHASE_MOVEMENT, **batch_attrs
         )
-        in_transfer = (
-            s._staged_transfer(
-                leg.src, "root", leg.stage.input_bytes, state, cctx
-            )
-            if n == 1
-            else s._batched_staged_transfer(
-                leg.src, "root", [leg.stage.input_bytes] * n, state, cctx
-            )
+        yield from s._timed(
+            phases, _sys.PHASE_MOVEMENT,
+            s._leg_dma(leg.src, "root", leg.stage.input_bytes, n, state, cctx),
+            span=span,
         )
-        yield from s._timed(phases, _sys.PHASE_MOVEMENT, in_transfer, span=span)
         # ENQCMD portal submission from the issuing core.
         span, _ = s._phase_span(
             ctx, "dsa-submit", _sys.PHASE_CONTROL, actor=self.device.name,
@@ -246,15 +241,10 @@ class DSABackend(RestructureBackend):
         span, cctx = s._phase_span(
             ctx, "movement-out", _sys.PHASE_MOVEMENT, **batch_attrs
         )
-        out_transfer = (
-            s._staged_transfer(
-                "root", leg.dst, leg.stage.output_bytes, state, cctx
-            )
-            if n == 1
-            else s._batched_staged_transfer(
-                "root", leg.dst, [leg.stage.output_bytes] * n, state, cctx
-            )
-        )
         yield from s._timed(
-            phases, _sys.PHASE_MOVEMENT, out_transfer, span=span
+            phases, _sys.PHASE_MOVEMENT,
+            s._leg_dma(
+                "root", leg.dst, leg.stage.output_bytes, n, state, cctx
+            ),
+            span=span,
         )

@@ -219,20 +219,10 @@ class XDMABackend(RestructureBackend):
             actor=self.device.name, overlapped=True, fused_dma=True,
             **batch_attrs,
         )
-        wire_bytes = self._wire_bytes(leg)
-        move_op = (
-            s.dma.transfer(
-                leg.src, leg.dst, wire_bytes,
-                on_retry=s._retry_cb(state, "dma", f"{leg.src}->{leg.dst}"),
-                ctx=pctx,
-            )
-            if n == 1
-            else s.dma.transfer_chained(
-                leg.src, leg.dst,
-                [max(leg.stage.input_bytes, leg.stage.output_bytes)] * n,
-                on_retry=s._retry_cb(state, "dma", f"{leg.src}->{leg.dst}"),
-                ctx=pctx,
-            )
+        move_op = s._leg_dma(
+            leg.src, leg.dst,
+            max(leg.stage.input_bytes, leg.stage.output_bytes), n, state,
+            pctx,
         )
         work_op = self._guarded_transform(leg, state, pctx)
         if s._faults is not None:

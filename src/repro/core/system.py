@@ -44,6 +44,7 @@ from .chain import AppChain, KernelStage, MotionStage
 from .placement import Mode, SystemConfig, drx_config_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..backends.base import LegSpec
     from ..backends.planner import PlanDecision, PlannerConfig
 
 __all__ = ["RequestRecord", "RunResult", "DMXSystem",
@@ -402,6 +403,7 @@ class DMXSystem:
         self._accel_names: Dict[tuple, str] = {}  # (app_idx, stage_idx) -> name
         self._switch_of: Dict[str, str] = {}
         self._standalone_drx_of: Dict[int, str] = {}
+        self._legs: Dict[tuple, "LegSpec"] = {}
         self._build_topology()
         # The per-leg backend planner (lazy import: repro.backends pulls
         # repro.core back in for chain/placement types).
@@ -699,20 +701,36 @@ class DMXSystem:
             raise RescueAbandoned(target, burned)
         return burned
 
-    def _staged_transfer(
+    def _leg_dma(
         self,
         src: str,
         dst: str,
         nbytes: int,
-        state: Optional[_RequestState] = None,
-        ctx: Optional[SpanContext] = None,
+        count: int,
+        state: Optional[_RequestState],
+        ctx: Optional[SpanContext],
     ) -> Generator:
-        """A DMA that stages through host memory (src or dst is 'root')."""
-        yield from self.dma.transfer(
-            src, dst, nbytes,
+        """One motion-leg DMA: a single descriptor-ring submission moving
+        ``count`` member payloads of ``nbytes`` each. When either end is
+        host memory ('root') the transfer stages through it, paying one
+        DRAM staging pass over the total."""
+        total = count * nbytes
+        op = self.dma.transfer(
+            src, dst, total,
             on_retry=self._retry_cb(state, "dma", f"{src}->{dst}"),
-            ctx=ctx,
+            ctx=ctx, descriptors=count,
         )
+        if src != "root" and dst != "root":
+            # Returned as is: a wrapping generator frame would be resumed
+            # on every event of the transfer.
+            return op
+        return self._host_staged(op, total, ctx)
+
+    def _host_staged(
+        self, op: Generator, nbytes: int, ctx: Optional[SpanContext]
+    ) -> Generator:
+        """Run the DMA ``op``, then the DRAM staging pass over ``nbytes``."""
+        yield from op
         span = (
             ctx.begin("host-staging", "staging", actor="root", bytes=nbytes)
             if ctx is not None
@@ -736,15 +754,23 @@ class DMXSystem:
             est += nbytes / HOST_STAGING_BYTES_PER_S
         return est
 
+    def _cpu_restructure(self, profile, threads: int, count: int) -> Generator:
+        """Back-to-back host restructuring of each member payload (the
+        CPU has no program-load overhead to amortize)."""
+        for _ in range(count):
+            yield from self.cpu.restructure(profile, threads=threads)
+
     def _drx_restructure(
         self,
         drx: DRXDevice,
         fused,
+        count: int,
         state: Optional[_RequestState],
         ctx: Optional[SpanContext] = None,
     ) -> Generator:
-        """One DRX job, guarded at the "drx" injection site when faulted."""
-        op = drx.restructure(fused, ctx=ctx)
+        """One (coalesced) DRX job, guarded at the "drx" injection site
+        when faulted."""
+        op = drx.restructure(fused, count, ctx=ctx)
         if self.injector is None:
             return op
         return self.injector.guard(
@@ -754,37 +780,43 @@ class DMXSystem:
 
     def _multi_axl_motion(
         self,
-        src: str,
-        dst: str,
-        stage: MotionStage,
-        threads: int,
+        leg: "LegSpec",
         phases: PhaseAccumulator,
         state: Optional[_RequestState],
         ctx: SpanContext,
     ) -> Generator:
         """Restructure on the host CPU, staging through host memory —
         the Multi-Axl baseline path, doubling as the degraded path for
-        requests whose DRX budget ran out."""
-        span, cctx = self._phase_span(ctx, "movement-in", PHASE_MOVEMENT)
+        legs whose DRX budget ran out (a batch degrades as a unit:
+        chained staged DMAs around per-member CPU restructuring)."""
+        count = leg.count
+        batch = {"batch": count} if count > 1 else {}
+        span, cctx = self._phase_span(
+            ctx, "movement-in", PHASE_MOVEMENT, **batch
+        )
         yield from self._timed(
             phases, PHASE_MOVEMENT,
-            self._staged_transfer(src, "root", stage.input_bytes, state, cctx),
+            self._leg_dma(
+                leg.src, "root", leg.stage.input_bytes, count, state, cctx
+            ),
             span=span,
         )
         span, _ = self._phase_span(
             ctx, "cpu-restructure", PHASE_RESTRUCTURE, actor="cpu",
-            threads=threads,
+            threads=leg.threads, **batch,
         )
         yield from self._timed(
             phases, PHASE_RESTRUCTURE,
-            self.cpu.restructure(stage.profile, threads=threads),
+            self._cpu_restructure(leg.stage.profile, leg.threads, count),
             span=span,
         )
-        span, cctx = self._phase_span(ctx, "movement-out", PHASE_MOVEMENT)
+        span, cctx = self._phase_span(
+            ctx, "movement-out", PHASE_MOVEMENT, **batch
+        )
         yield from self._timed(
             phases, PHASE_MOVEMENT,
-            self._staged_transfer(
-                "root", dst, stage.output_bytes, state, cctx
+            self._leg_dma(
+                "root", leg.dst, leg.stage.output_bytes, count, state, cctx
             ),
             span=span,
         )
@@ -887,18 +919,32 @@ class DMXSystem:
         self._standalone_drx_of[app_index] = card
         return old
 
+    def _force_cpu(
+        self,
+        leg: "LegSpec",
+        state: Optional[_RequestState],
+        mspan: Optional[ActiveSpan],
+    ) -> None:
+        """Book the brownout FORCE_CPU tier steering one leg to the host."""
+        if state is not None:
+            state.rerouted = True
+        if self.telemetry.enabled and mspan is not None:
+            mspan.attrs["forced_cpu"] = True
+        self.telemetry.instant(
+            "brownout_force_cpu", "brownout", actor=leg.drx.name,
+            request_id=state.request_id if state is not None else -1,
+        )
+
     def _route_drx(
         self,
-        mode: Mode,
-        drx: DRXDevice,
-        staging: str,
+        leg: "LegSpec",
         state: Optional[_RequestState],
         mspan: Optional[ActiveSpan],
         force_cpu: bool,
     ):
         """Control-plane routing for one motion stage's DRX leg.
 
-        Returns ``(drx, staging, probe)`` for the unit the leg should
+        Returns ``(leg, probe)`` with the leg bound to the unit it should
         use, or ``None`` when the leg must degrade to CPU restructuring
         right away (the brownout FORCE_CPU tier, the home unit's failure
         domain decommissioned, or the home breaker open with no
@@ -910,17 +956,11 @@ class DMXSystem:
         breaker; an undetected corpse still admits, dispatches, and
         fails fast, which is what drives detection.
         """
+        drx = leg.drx
         rid = state.request_id if state is not None else -1
         record_spans = self.telemetry.enabled and mspan is not None
         if force_cpu:
-            if state is not None:
-                state.rerouted = True
-            if record_spans:
-                mspan.attrs["forced_cpu"] = True
-            self.telemetry.instant(
-                "brownout_force_cpu", "brownout", actor=drx.name,
-                request_id=rid,
-            )
+            self._force_cpu(leg, state, mspan)
             return None
         down = self.domains is not None and self.domains.is_down(drx.name)
         if down:
@@ -928,15 +968,15 @@ class DMXSystem:
                 mspan.attrs["domain_down"] = True
         else:
             if self.control is None:
-                return drx, staging, False
+                return leg, False
             decision = self.control.admit(drx.name)
             if decision.allow:
-                return drx, staging, decision.probe
+                return leg, decision.probe
             if record_spans:
                 mspan.attrs["breaker_open"] = True
         if self.control is None or self.control.config.reroute_alternates:
             for alt, alt_staging in self._alternate_placements(
-                mode, drx.name
+                leg.mode, drx.name
             ):
                 if (
                     self.domains is not None
@@ -956,7 +996,9 @@ class DMXSystem:
                     mspan.attrs["rerouted_to"] = alt.name
                 if self.control is not None:
                     self.control.note_reroute(drx.name, alt.name, rid)
-                return alt, alt_staging, probe
+                return self._leg_spec(
+                    leg.src, leg.dst, leg.stage, leg.count, alt, alt_staging
+                ), probe
         if state is not None:
             state.rerouted = True
         if record_spans:
@@ -967,34 +1009,36 @@ class DMXSystem:
 
     def _drx_motion(
         self,
-        mode: Mode,
-        src: str,
-        dst: str,
-        staging: str,
-        drx: DRXDevice,
-        stage: MotionStage,
-        fused,
+        leg: "LegSpec",
         phases: PhaseAccumulator,
         state: Optional[_RequestState],
         ctx: SpanContext,
     ) -> Generator:
         """The DRX leg of one motion stage: ingest, restructure, notify,
-        deliver. Under a :class:`FaultPlan` this runs as a child process
-        racing the DRX deadline budget."""
-        if mode == Mode.PCIE_INTEGRATED:
+        deliver — for ``leg.count`` members as one coalesced job (chained
+        ingest, one batch restructuring job, ONE completion
+        notification, chained delivery)."""
+        drx, staging, stage = leg.drx, leg.staging, leg.stage
+        count = leg.count
+        batch = {"batch": count} if count > 1 else {}
+        if leg.mode == Mode.PCIE_INTEGRATED:
             # Switch-integrated DRX processes data *as it streams through
             # the switch* (line-rate processing, no store-and-forward):
             # the inbound transfer and the restructuring overlap.
             pspan, pctx = self._phase_span(
                 ctx, "restructure", PHASE_RESTRUCTURE, actor=drx.name,
-                overlapped=True,
+                overlapped=True, **batch,
             )
             ingest_op = self.telemetry.wrap(
-                self.fabric.transfer(src, staging, stage.input_bytes),
+                self.fabric.transfer(
+                    leg.src, staging, count * stage.input_bytes
+                ),
                 "ingest", "ingest", actor=staging, parent=pspan,
-                request_id=ctx.request_id, bytes=stage.input_bytes,
+                request_id=ctx.request_id, bytes=count * stage.input_bytes,
             )
-            work_op = self._drx_restructure(drx, fused, state, ctx=pctx)
+            work_op = self._drx_restructure(
+                drx, leg.fused, count, state, ctx=pctx
+            )
             if self._faults is not None:
                 # Shield the children: an injected fault must surface
                 # here (for fallback), not trip the engine's strict mode.
@@ -1023,83 +1067,114 @@ class DMXSystem:
                     if not ok:
                         raise value
         else:
-            span, cctx = self._phase_span(ctx, "movement-in", PHASE_MOVEMENT)
-            in_transfer = (
-                self._staged_transfer(
-                    src, staging, stage.input_bytes, state, cctx
-                )
-                if staging == "root"
-                else self.dma.transfer(
-                    src, staging, stage.input_bytes,
-                    on_retry=self._retry_cb(state, "dma", f"{src}->{staging}"),
-                    ctx=cctx,
-                )
+            span, cctx = self._phase_span(
+                ctx, "movement-in", PHASE_MOVEMENT, **batch
             )
             yield from self._timed(
-                phases, PHASE_MOVEMENT, in_transfer, span=span
+                phases, PHASE_MOVEMENT,
+                self._leg_dma(
+                    leg.src, staging, stage.input_bytes, count, state, cctx
+                ),
+                span=span,
             )
             span, cctx = self._phase_span(
-                ctx, "restructure", PHASE_RESTRUCTURE, actor=drx.name
+                ctx, "restructure", PHASE_RESTRUCTURE, actor=drx.name,
+                **batch,
             )
             yield from self._timed(
                 phases, PHASE_RESTRUCTURE,
-                self._drx_restructure(drx, fused, state, ctx=cctx),
+                self._drx_restructure(drx, leg.fused, count, state, ctx=cctx),
                 span=span,
             )
         # Restructure-completion notification + P2P DMA to the consumer
-        # (Fig. 10 steps 8-9).
-        span, cctx = self._phase_span(ctx, "control", PHASE_CONTROL)
+        # (Fig. 10 steps 8-9). ONE notification covers every member: the
+        # chained submission raises a single interrupt and the driver
+        # reaps the remaining completions inside that ISR.
+        span, cctx = self._phase_span(ctx, "control", PHASE_CONTROL, **batch)
         yield from self._timed(
             phases, PHASE_CONTROL,
             self.notifier.notify(
-                drx.name,
+                drx.name, count,
                 on_retry=self._retry_cb(state, "notify", drx.name),
                 ctx=cctx,
             ),
             span=span,
         )
-        span, cctx = self._phase_span(ctx, "movement-out", PHASE_MOVEMENT)
-        out_transfer = (
-            self._staged_transfer(
-                staging, dst, stage.output_bytes, state, cctx
-            )
-            if staging == "root"
-            else self.dma.transfer(
-                staging, dst, stage.output_bytes,
-                on_retry=self._retry_cb(state, "dma", f"{staging}->{dst}"),
-                ctx=cctx,
-            )
+        span, cctx = self._phase_span(
+            ctx, "movement-out", PHASE_MOVEMENT, **batch
         )
-        yield from self._timed(phases, PHASE_MOVEMENT, out_transfer, span=span)
+        yield from self._timed(
+            phases, PHASE_MOVEMENT,
+            self._leg_dma(
+                staging, leg.dst, stage.output_bytes, count, state, cctx
+            ),
+            span=span,
+        )
+
+    def _leg_spec(
+        self,
+        src: str,
+        dst: str,
+        stage: MotionStage,
+        count: int,
+        drx: Optional[DRXDevice] = None,
+        staging: str = "root",
+    ) -> "LegSpec":
+        """The motion stage ``src -> dst`` as a :class:`LegSpec` of
+        ``count`` members bound to ``drx`` (``None``: the host path).
+        Legs are immutable, so each is built once per system and reused;
+        the unit (with its staging point) is part of the key, so a
+        migrated or rerouted app gets its new card's leg."""
+        key = (src, count, drx, SCRATCHPAD_FUSION)
+        leg = self._legs.get(key)
+        if leg is None:
+            from ..backends.base import LegSpec
+
+            # On DRX, the restructuring-op chain is fused through the
+            # on-chip scratchpads (the compiler keeps intermediates on
+            # chip), so DRAM traffic is just the stage's real input and
+            # output — unlike the CPU, whose cache hierarchy
+            # materializes every intermediate.
+            if SCRATCHPAD_FUSION:
+                fused = replace(
+                    stage.profile,
+                    bytes_in=stage.input_bytes,
+                    bytes_out=stage.output_bytes,
+                )
+            else:  # fusion ablation: every intermediate round-trips DRAM
+                fused = stage.profile
+            leg = self._legs[key] = LegSpec(
+                mode=self.config.mode, src=src, dst=dst, staging=staging,
+                stage=stage, fused=fused, threads=stage.cpu_threads,
+                count=count, drx=drx,
+            )
+        return leg
 
     def _motion(
         self,
         app_index: int,
         kernel_index: int,
         stage: MotionStage,
+        count: int,
         phases: PhaseAccumulator,
-        state: Optional[_RequestState] = None,
-        rctx: Optional[SpanContext] = None,
+        state: Optional[_RequestState],
+        rctx: SpanContext,
         force_cpu: bool = False,
     ) -> Generator:
         """The data-motion step between kernel ``kernel_index`` and the
-        next one, under the configured placement."""
-        mode = self.config.mode
+        next one, for ``count`` coalesced members, under the configured
+        placement."""
         src = self.accel_name(app_index, kernel_index)
         dst = self.accel_name(app_index, kernel_index + 1)
-        threads = stage.cpu_threads
-        if rctx is None:
-            rctx = self.telemetry.context(
-                request_id=state.request_id if state is not None else -1
-            )
         mspan = rctx.begin(
-            f"motion{kernel_index}", "stage", src=src, dst=dst
+            f"motion{kernel_index}", "stage", src=src, dst=dst,
+            **({"batch": count} if count > 1 else {}),
         )
         sctx = rctx.child(mspan)
         try:
             yield from self._motion_body(
-                mode, app_index, src, dst, stage, threads, phases, state,
-                sctx, mspan, force_cpu,
+                app_index, src, dst, stage, count, phases, state, sctx,
+                mspan, force_cpu,
             )
         except BaseException:
             self.telemetry.end(mspan, abandoned=True)
@@ -1108,153 +1183,159 @@ class DMXSystem:
 
     def _motion_body(
         self,
-        mode: Mode,
         app_index: int,
         src: str,
         dst: str,
         stage: MotionStage,
-        threads: int,
+        count: int,
         phases: PhaseAccumulator,
         state: Optional[_RequestState],
         sctx: SpanContext,
-        mspan: Optional[ActiveSpan] = None,
-        force_cpu: bool = False,
+        mspan: Optional[ActiveSpan],
+        force_cpu: bool,
     ) -> Generator:
+        from ..backends.base import BACKEND_DRX
+
+        mode = self.config.mode
+        threads = stage.cpu_threads
+        batch = {"batch": count} if count > 1 else {}
         if mode == Mode.ALL_CPU:
             # Data already lives in host memory; only the computation.
             span, _ = self._phase_span(
                 sctx, "cpu-restructure", PHASE_RESTRUCTURE, actor="cpu",
-                threads=threads,
+                threads=threads, **batch,
             )
             yield from self._timed(
                 phases, PHASE_RESTRUCTURE,
-                self.cpu.restructure(stage.profile, threads=threads),
+                self._cpu_restructure(stage.profile, threads, count),
                 span=span,
             )
             return
 
-        # Kernel-completion notification + DMA setup (control plane).
-        span, cctx = self._phase_span(sctx, "control", PHASE_CONTROL)
+        # Kernel-completion notification + DMA setup (control plane). ONE
+        # notification covers every batch member: the batch's kernels
+        # were submitted as one chain, so the device raises one interrupt
+        # with ``count`` completion records behind it.
+        span, cctx = self._phase_span(sctx, "control", PHASE_CONTROL, **batch)
         yield from self._timed(
             phases, PHASE_CONTROL,
             self.notifier.notify(
-                src, on_retry=self._retry_cb(state, "notify", src), ctx=cctx
+                src, count,
+                on_retry=self._retry_cb(state, "notify", src), ctx=cctx,
             ),
             span=span,
         )
 
         if mode == Mode.MULTI_AXL:
             yield from self._multi_axl_motion(
-                src, dst, stage, threads, phases, state, sctx
-            )
-            return
-
-        if self.planner is not None:
-            yield from self._planned_motion(
-                mode, app_index, src, dst, stage, threads, 1, phases,
-                state, sctx, mspan, force_cpu,
+                self._leg_spec(src, dst, stage, count), phases, state, sctx
             )
             return
 
         drx, staging = self._drx_placement(mode, src, app_index)
+        leg = self._leg_spec(src, dst, stage, count, drx, staging)
+
+        if self.planner is not None:
+            yield from self._planned_motion(
+                leg, phases, state, sctx, mspan, force_cpu
+            )
+            return
 
         probe = False
         if force_cpu or self.control is not None or self.domains is not None:
-            routed = self._route_drx(
-                mode, drx, staging, state, mspan, force_cpu
-            )
+            routed = self._route_drx(leg, state, mspan, force_cpu)
             if routed is None:
                 # Browned out: the FORCE_CPU tier, the home unit's
                 # domain decommissioned with no surviving alternate, or
                 # the home breaker open with every alternate's breaker
                 # open too. The stage restructures on the host
                 # immediately — no DRX deadline budget is burned.
-                yield from self._multi_axl_motion(
-                    src, dst, stage, threads, phases, state, sctx
-                )
+                yield from self._multi_axl_motion(leg, phases, state, sctx)
                 return
-            drx, staging, probe = routed
+            leg, probe = routed
+        yield from self._raced_leg(
+            BACKEND_DRX, leg.drx.name, probe, self._drx_motion, leg, phases,
+            state, sctx,
+        )
 
-        # On DRX, the restructuring-op chain is fused through the on-chip
-        # scratchpads (the compiler keeps intermediates on chip), so DRAM
-        # traffic is just the stage's real input and output — unlike the
-        # CPU, whose cache hierarchy materializes every intermediate.
-        if SCRATCHPAD_FUSION:
-            fused = replace(
-                stage.profile,
-                bytes_in=stage.input_bytes,
-                bytes_out=stage.output_bytes,
-            )
-        else:  # fusion ablation: every intermediate round-trips DRAM
-            fused = stage.profile
+    def _raced_leg(
+        self,
+        kind: str,
+        target: str,
+        probe: bool,
+        execute: Callable[..., Generator],
+        leg: "LegSpec",
+        phases: PhaseAccumulator,
+        state: Optional[_RequestState],
+        sctx: SpanContext,
+    ) -> Generator:
+        """Run one accelerator leg, ``execute(leg, phases, state, ctx)``
+        on the ``kind`` backend's ``target``, under the recovery plane.
+        Both routing paths — the legacy DRX route and the planner — run
+        every non-CPU leg through here.
 
+        Fault-free runs with no crash scheduled on ``target`` execute the
+        leg directly. Otherwise it runs as a ``{kind}-attempt`` racing
+        the request's deadline budget (scaled by batch size: each member
+        brings its own budget to the pool) and the target's crash
+        broadcast. Past the deadline the leg falls back to CPU
+        restructuring via host memory; a crashed domain's leg is drained
+        and rescued exactly once on the CPU path, carrying the
+        already-burned latency. A batch falls back, drains and is
+        rescued as a unit — no member is lost.
+        """
+        count = leg.count
         crash_ev = (
-            self.domains.watch(drx.name) if self.domains is not None else None
+            self.domains.watch(target) if self.domains is not None else None
         )
         if self._faults is None and crash_ev is None:
             leg_start = self.sim.now
-            yield from self._drx_motion(
-                mode, src, dst, staging, drx, stage, fused, phases, state,
-                sctx,
-            )
+            yield from execute(leg, phases, state, sctx)
+            self._count_leg(kind, "executed")
             if self.control is not None:
                 self.control.record(
-                    drx.name, True, self.sim.now - leg_start, probe=probe
+                    target, True, self.sim.now - leg_start, probe=probe
                 )
             return
 
-        # Graceful degradation: the DRX leg runs under the request's
-        # deadline budget (and, when the unit's failure domain has a
-        # crash scheduled, races its crash broadcast too); past the
-        # deadline the stage falls back to CPU restructuring via host
-        # memory, and a crashed domain's leg is drained and rescued.
         local = PhaseAccumulator(ALL_PHASES)
         span_start = self.sim.now
-        deadline_s = (
-            self._faults.drx_deadline_s if self._faults is not None else None
+        deadline = (
+            self._faults.drx_deadline_s * count
+            if self._faults is not None
+            else None
         )
         attempt = sctx.begin(
-            "drx-attempt", "attempt",
-            deadline_s=deadline_s,
+            f"{kind}-attempt", "attempt", deadline_s=deadline,
+            **({"batch": count} if count > 1 else {}),
             **({"breaker_probe": True} if probe else {}),
         )
         actx = sctx.child(attempt)
+        rid = state.request_id if state is not None else -1
         try:
             yield from self._leg_race(
-                self._drx_motion(
-                    mode, src, dst, staging, drx, stage, fused, local, state,
-                    actx,
-                ),
-                deadline_s, crash_ev, drx.name,
-                what=f"drx:{drx.name}",
+                execute(leg, local, state, actx),
+                deadline, crash_ev, target,
+                what=f"{kind}:{target}",
             )
         except DomainCrashed as exc:
-            # The domain died under (or before) this leg: drain it and
-            # rescue the request exactly once on the CPU path, carrying
-            # the already-burned latency.
             burned = self._rescue_accounting(
-                exc, drx.name, span_start, attempt, sctx, state, phases,
-                probe, 1,
+                exc, target, span_start, attempt, sctx, state, phases,
+                probe, count,
             )
-            yield from self._multi_axl_motion(
-                src, dst, stage, threads, phases, state, sctx
-            )
+            yield from self._cpu_leg(leg, phases, state, sctx)
             if state is not None:
                 state.rescued = True
-            self.domains.on_rescue(
-                drx.name, state.request_id if state is not None else -1,
-                burned, 1,
-            )
+            self.domains.on_rescue(target, rid, burned, count)
         except _RECOVERABLE as exc:
             if self.control is not None:
                 self.control.record(
-                    drx.name, False, self.sim.now - span_start, probe=probe
+                    target, False, self.sim.now - span_start, probe=probe
                 )
             if state is not None:
                 state.fell_back = True
             self._note(
-                "fallback", drx.name, site="drx",
-                request_id=state.request_id if state is not None else -1,
+                "fallback", target, site=kind, request_id=rid,
                 detail=type(exc).__name__,
             )
             # The whole attempt subtree is dead time: abandon it (phase
@@ -1266,22 +1347,41 @@ class DMXSystem:
             phases.add(PHASE_RECOVERY, self.sim.now - span_start)
             self.telemetry.add(
                 "recovery", PHASE_RECOVERY, start=span_start,
-                end=self.sim.now, actor=drx.name, parent=sctx.parent_id,
+                end=self.sim.now, actor=target, parent=sctx.parent_id,
                 request_id=sctx.request_id, phase=PHASE_RECOVERY,
                 cause=type(exc).__name__,
             )
-            yield from self._multi_axl_motion(
-                src, dst, stage, threads, phases, state, sctx
-            )
+            self._count_leg(kind, "fallen_back")
+            yield from self._cpu_leg(leg, phases, state, sctx)
         else:
             if self.control is not None:
                 self.control.record(
-                    drx.name, True, self.sim.now - span_start, probe=probe
+                    target, True, self.sim.now - span_start, probe=probe
                 )
             self.telemetry.end(attempt)
             for phase, duration in local.totals.items():
                 if duration:
                     phases.add(phase, duration)
+            self._count_leg(kind, "executed")
+
+    def _cpu_leg(
+        self,
+        leg: "LegSpec",
+        phases: PhaseAccumulator,
+        state: Optional[_RequestState],
+        sctx: SpanContext,
+    ) -> Generator:
+        """The CPU backend's leg: never breaker-gated or deadline-raced —
+        it IS the fallback."""
+        from ..backends.base import BACKEND_CPU
+
+        yield from self._multi_axl_motion(leg, phases, state, sctx)
+        self._count_leg(BACKEND_CPU, "executed")
+
+    def _count_leg(self, kind: str, outcome: str) -> None:
+        """Per-backend leg attribution (planner-armed runs only)."""
+        if self.planner is not None:
+            self.backend_stats[kind][outcome] += 1
 
     def _recovering_kernel(
         self, device, state: _RequestState
@@ -1301,421 +1401,6 @@ class DMXSystem:
             on_attempt_failed=self._retry_cb(state, "kernel", device.name),
             what=f"kernel:{device.name}",
         )
-
-    # -- coalesced (batched) execution -----------------------------------------
-    #
-    # A batch is N same-chain requests executed as ONE submission per
-    # stage: kernels still run per member (the accelerator does real work
-    # for each payload), but every motion leg pays a single control path —
-    # one chained descriptor-ring submission + doorbell on the DMA, one
-    # amortized program load on the DRX, one coalesced completion ISR —
-    # for all N member transfers. This is the serve layer's
-    # :class:`~repro.serve.batching.BatchFormer` execution target and the
-    # ROADMAP "batching / coalescing of restructuring ops" item.
-
-    def _batched_staged_transfer(
-        self,
-        src: str,
-        dst: str,
-        sizes: List[int],
-        state: Optional[_RequestState] = None,
-        ctx: Optional[SpanContext] = None,
-    ) -> Generator:
-        """A chained DMA staging through host memory: one submission for
-        every member payload, one DRAM staging pass over the total."""
-        yield from self.dma.transfer_chained(
-            src, dst, sizes,
-            on_retry=self._retry_cb(state, "dma", f"{src}->{dst}"),
-            ctx=ctx,
-        )
-        nbytes = sum(sizes)
-        span = (
-            ctx.begin("host-staging", "staging", actor="root", bytes=nbytes)
-            if ctx is not None
-            else None
-        )
-        try:
-            yield self.sim.timeout(nbytes / HOST_STAGING_BYTES_PER_S)
-        except BaseException:
-            if span is not None:
-                ctx.end(span, abandoned=True)
-            raise
-        if span is not None:
-            ctx.end(span)
-
-    def _cpu_restructure_batch(
-        self, profile, threads: int, count: int
-    ) -> Generator:
-        """Back-to-back host restructuring of each member payload (the
-        CPU has no program-load overhead to amortize)."""
-        for _ in range(count):
-            yield from self.cpu.restructure(profile, threads=threads)
-
-    def _drx_restructure_batch(
-        self,
-        drx: DRXDevice,
-        fused,
-        count: int,
-        state: Optional[_RequestState],
-        ctx: Optional[SpanContext] = None,
-    ) -> Generator:
-        """One coalesced DRX job for ``count`` member payloads, guarded
-        at the "drx" injection site when faulted."""
-        op = drx.restructure_batch([fused] * count, ctx=ctx)
-        if self.injector is None:
-            return op
-        return self.injector.guard(
-            "drx", op, actor=drx.name,
-            request_id=state.request_id if state is not None else -1,
-        )
-
-    def _batched_multi_axl_motion(
-        self,
-        src: str,
-        dst: str,
-        stage: MotionStage,
-        threads: int,
-        count: int,
-        phases: PhaseAccumulator,
-        state: Optional[_RequestState],
-        ctx: SpanContext,
-    ) -> Generator:
-        """Batched fallback/baseline path: chained staged DMAs through
-        host memory around per-member CPU restructuring."""
-        span, cctx = self._phase_span(
-            ctx, "movement-in", PHASE_MOVEMENT, batch=count
-        )
-        yield from self._timed(
-            phases, PHASE_MOVEMENT,
-            self._batched_staged_transfer(
-                src, "root", [stage.input_bytes] * count, state, cctx
-            ),
-            span=span,
-        )
-        span, _ = self._phase_span(
-            ctx, "cpu-restructure", PHASE_RESTRUCTURE, actor="cpu",
-            threads=threads, batch=count,
-        )
-        yield from self._timed(
-            phases, PHASE_RESTRUCTURE,
-            self._cpu_restructure_batch(stage.profile, threads, count),
-            span=span,
-        )
-        span, cctx = self._phase_span(
-            ctx, "movement-out", PHASE_MOVEMENT, batch=count
-        )
-        yield from self._timed(
-            phases, PHASE_MOVEMENT,
-            self._batched_staged_transfer(
-                "root", dst, [stage.output_bytes] * count, state, cctx
-            ),
-            span=span,
-        )
-
-    def _batched_drx_motion(
-        self,
-        mode: Mode,
-        src: str,
-        dst: str,
-        staging: str,
-        drx: DRXDevice,
-        stage: MotionStage,
-        fused,
-        count: int,
-        phases: PhaseAccumulator,
-        state: Optional[_RequestState],
-        ctx: SpanContext,
-    ) -> Generator:
-        """The coalesced DRX leg: chained ingest, one batch restructuring
-        job, ONE completion notification, chained delivery."""
-        if mode == Mode.PCIE_INTEGRATED:
-            # Line-rate processing still overlaps the (now batched)
-            # inbound stream with the (now coalesced) restructuring job.
-            pspan, pctx = self._phase_span(
-                ctx, "restructure", PHASE_RESTRUCTURE, actor=drx.name,
-                overlapped=True, batch=count,
-            )
-            ingest_op = self.telemetry.wrap(
-                self.fabric.transfer(src, staging, count * stage.input_bytes),
-                "ingest", "ingest", actor=staging, parent=pspan,
-                request_id=ctx.request_id, bytes=count * stage.input_bytes,
-            )
-            work_op = self._drx_restructure_batch(
-                drx, fused, count, state, ctx=pctx
-            )
-            if self._faults is not None:
-                ingest_op, work_op = shielded(ingest_op), shielded(work_op)
-            ingest = self.sim.spawn(ingest_op)
-            work = self.sim.spawn(work_op)
-            start = self.sim.now
-            try:
-                yield AllOf(self.sim, [ingest, work])
-            except BaseException:
-                self.telemetry.end(pspan, abandoned=True)
-                if self.domains is not None:
-                    for proc in (ingest, work):
-                        if proc.is_alive:
-                            proc.interrupt("leg cancelled")
-                raise
-            phases.add(PHASE_RESTRUCTURE, self.sim.now - start)
-            self.telemetry.end(pspan)
-            if self._faults is not None:
-                for proc in (ingest, work):
-                    ok, value = proc.value
-                    if not ok:
-                        raise value
-        else:
-            span, cctx = self._phase_span(
-                ctx, "movement-in", PHASE_MOVEMENT, batch=count
-            )
-            in_transfer = (
-                self._batched_staged_transfer(
-                    src, staging, [stage.input_bytes] * count, state, cctx
-                )
-                if staging == "root"
-                else self.dma.transfer_chained(
-                    src, staging, [stage.input_bytes] * count,
-                    on_retry=self._retry_cb(state, "dma", f"{src}->{staging}"),
-                    ctx=cctx,
-                )
-            )
-            yield from self._timed(
-                phases, PHASE_MOVEMENT, in_transfer, span=span
-            )
-            span, cctx = self._phase_span(
-                ctx, "restructure", PHASE_RESTRUCTURE, actor=drx.name,
-                batch=count,
-            )
-            yield from self._timed(
-                phases, PHASE_RESTRUCTURE,
-                self._drx_restructure_batch(drx, fused, count, state, cctx),
-                span=span,
-            )
-        # ONE restructure-completion notification for all members: the
-        # chained submission raises a single interrupt; the driver reaps
-        # the remaining completions inside that ISR.
-        span, cctx = self._phase_span(ctx, "control", PHASE_CONTROL, batch=count)
-        yield from self._timed(
-            phases, PHASE_CONTROL,
-            self.notifier.notify_batch(
-                drx.name, count,
-                on_retry=self._retry_cb(state, "notify", drx.name),
-                ctx=cctx,
-            ),
-            span=span,
-        )
-        span, cctx = self._phase_span(
-            ctx, "movement-out", PHASE_MOVEMENT, batch=count
-        )
-        out_transfer = (
-            self._batched_staged_transfer(
-                staging, dst, [stage.output_bytes] * count, state, cctx
-            )
-            if staging == "root"
-            else self.dma.transfer_chained(
-                staging, dst, [stage.output_bytes] * count,
-                on_retry=self._retry_cb(state, "dma", f"{staging}->{dst}"),
-                ctx=cctx,
-            )
-        )
-        yield from self._timed(phases, PHASE_MOVEMENT, out_transfer, span=span)
-
-    def _batched_motion(
-        self,
-        app_index: int,
-        kernel_index: int,
-        stage: MotionStage,
-        count: int,
-        phases: PhaseAccumulator,
-        state: Optional[_RequestState],
-        rctx: SpanContext,
-        force_cpu: bool = False,
-    ) -> Generator:
-        mode = self.config.mode
-        src = self.accel_name(app_index, kernel_index)
-        dst = self.accel_name(app_index, kernel_index + 1)
-        threads = stage.cpu_threads
-        mspan = rctx.begin(
-            f"motion{kernel_index}", "stage", src=src, dst=dst, batch=count
-        )
-        sctx = rctx.child(mspan)
-        try:
-            yield from self._batched_motion_body(
-                mode, app_index, src, dst, stage, threads, count, phases,
-                state, sctx, mspan, force_cpu,
-            )
-        except BaseException:
-            self.telemetry.end(mspan, abandoned=True)
-            raise
-        self.telemetry.end(mspan)
-
-    def _batched_motion_body(
-        self,
-        mode: Mode,
-        app_index: int,
-        src: str,
-        dst: str,
-        stage: MotionStage,
-        threads: int,
-        count: int,
-        phases: PhaseAccumulator,
-        state: Optional[_RequestState],
-        sctx: SpanContext,
-        mspan: Optional[ActiveSpan] = None,
-        force_cpu: bool = False,
-    ) -> Generator:
-        """Mirror of :meth:`_motion_body` for a coalesced batch — same
-        routing, brownout, and deadline-fallback structure, batched
-        control paths. The DRX deadline budget scales with batch size
-        (each member still brings its own budget to the pool)."""
-        if mode == Mode.ALL_CPU:
-            span, _ = self._phase_span(
-                sctx, "cpu-restructure", PHASE_RESTRUCTURE, actor="cpu",
-                threads=threads, batch=count,
-            )
-            yield from self._timed(
-                phases, PHASE_RESTRUCTURE,
-                self._cpu_restructure_batch(stage.profile, threads, count),
-                span=span,
-            )
-            return
-
-        # ONE kernel-completion notification covers every member: the
-        # batch's kernels were submitted as one chain, so the device
-        # raises one interrupt with N completion records behind it.
-        span, cctx = self._phase_span(sctx, "control", PHASE_CONTROL, batch=count)
-        yield from self._timed(
-            phases, PHASE_CONTROL,
-            self.notifier.notify_batch(
-                src, count,
-                on_retry=self._retry_cb(state, "notify", src), ctx=cctx,
-            ),
-            span=span,
-        )
-
-        if mode == Mode.MULTI_AXL:
-            yield from self._batched_multi_axl_motion(
-                src, dst, stage, threads, count, phases, state, sctx
-            )
-            return
-
-        if self.planner is not None:
-            yield from self._planned_motion(
-                mode, app_index, src, dst, stage, threads, count, phases,
-                state, sctx, mspan, force_cpu,
-            )
-            return
-
-        drx, staging = self._drx_placement(mode, src, app_index)
-
-        probe = False
-        if force_cpu or self.control is not None or self.domains is not None:
-            routed = self._route_drx(
-                mode, drx, staging, state, mspan, force_cpu
-            )
-            if routed is None:
-                yield from self._batched_multi_axl_motion(
-                    src, dst, stage, threads, count, phases, state, sctx
-                )
-                return
-            drx, staging, probe = routed
-
-        if SCRATCHPAD_FUSION:
-            fused = replace(
-                stage.profile,
-                bytes_in=stage.input_bytes,
-                bytes_out=stage.output_bytes,
-            )
-        else:
-            fused = stage.profile
-
-        crash_ev = (
-            self.domains.watch(drx.name) if self.domains is not None else None
-        )
-        if self._faults is None and crash_ev is None:
-            leg_start = self.sim.now
-            yield from self._batched_drx_motion(
-                mode, src, dst, staging, drx, stage, fused, count, phases,
-                state, sctx,
-            )
-            if self.control is not None:
-                self.control.record(
-                    drx.name, True, self.sim.now - leg_start, probe=probe
-                )
-            return
-
-        # A failed batch falls back *as a unit*: no member is lost — all
-        # of them retry on the CPU path via host memory. Likewise a
-        # crashed domain drains the batch as a unit and every member is
-        # rescued together, exactly once.
-        local = PhaseAccumulator(ALL_PHASES)
-        span_start = self.sim.now
-        deadline = (
-            self._faults.drx_deadline_s * count
-            if self._faults is not None
-            else None
-        )
-        attempt = sctx.begin(
-            "drx-attempt", "attempt", deadline_s=deadline, batch=count,
-            **({"breaker_probe": True} if probe else {}),
-        )
-        actx = sctx.child(attempt)
-        try:
-            yield from self._leg_race(
-                self._batched_drx_motion(
-                    mode, src, dst, staging, drx, stage, fused, count, local,
-                    state, actx,
-                ),
-                deadline, crash_ev, drx.name,
-                what=f"drx:{drx.name}",
-            )
-        except DomainCrashed as exc:
-            burned = self._rescue_accounting(
-                exc, drx.name, span_start, attempt, sctx, state, phases,
-                probe, count,
-            )
-            yield from self._batched_multi_axl_motion(
-                src, dst, stage, threads, count, phases, state, sctx
-            )
-            if state is not None:
-                state.rescued = True
-            self.domains.on_rescue(
-                drx.name, state.request_id if state is not None else -1,
-                burned, count,
-            )
-        except _RECOVERABLE as exc:
-            if self.control is not None:
-                self.control.record(
-                    drx.name, False, self.sim.now - span_start, probe=probe
-                )
-            if state is not None:
-                state.fell_back = True
-            self._note(
-                "fallback", drx.name, site="drx",
-                request_id=state.request_id if state is not None else -1,
-                detail=type(exc).__name__,
-            )
-            self.telemetry.end(attempt, error=type(exc).__name__)
-            self.telemetry.mark_abandoned(attempt)
-            phases.add(PHASE_RECOVERY, self.sim.now - span_start)
-            self.telemetry.add(
-                "recovery", PHASE_RECOVERY, start=span_start,
-                end=self.sim.now, actor=drx.name, parent=sctx.parent_id,
-                request_id=sctx.request_id, phase=PHASE_RECOVERY,
-                cause=type(exc).__name__,
-            )
-            yield from self._batched_multi_axl_motion(
-                src, dst, stage, threads, count, phases, state, sctx
-            )
-        else:
-            if self.control is not None:
-                self.control.record(
-                    drx.name, True, self.sim.now - span_start, probe=probe
-                )
-            self.telemetry.end(attempt)
-            for phase, duration in local.totals.items():
-                if duration:
-                    phases.add(phase, duration)
 
     # -- cost-based per-leg backend planning ------------------------------------
     #
@@ -1764,42 +1449,18 @@ class DMXSystem:
 
     def _planned_motion(
         self,
-        mode: Mode,
-        app_index: int,
-        src: str,
-        dst: str,
-        stage: MotionStage,
-        threads: int,
-        count: int,
+        leg: "LegSpec",
         phases: PhaseAccumulator,
         state: Optional[_RequestState],
         sctx: SpanContext,
-        mspan: Optional[ActiveSpan] = None,
-        force_cpu: bool = False,
+        mspan: Optional[ActiveSpan],
+        force_cpu: bool,
     ) -> Generator:
-        """One motion leg (single or coalesced batch) under the planner.
+        """One motion leg (single or coalesced batch) under the planner:
+        the cheapest admitted backend runs it, raced and degraded by
+        :meth:`_raced_leg` exactly like the legacy DRX route."""
+        from ..backends.base import BACKEND_CPU
 
-        Mirrors the deadline-fallback structure of :meth:`_motion_body`:
-        fault-free runs execute the chosen backend directly; faulted
-        runs race it against the per-request deadline budget and degrade
-        to the CPU backend on a recoverable failure.
-        """
-        from ..backends.base import BACKEND_CPU, LegSpec
-
-        planner = self.planner
-        drx, staging = self._drx_placement(mode, src, app_index)
-        if SCRATCHPAD_FUSION:
-            fused = replace(
-                stage.profile,
-                bytes_in=stage.input_bytes,
-                bytes_out=stage.output_bytes,
-            )
-        else:
-            fused = stage.profile
-        leg = LegSpec(
-            mode=mode, src=src, dst=dst, staging=staging, stage=stage,
-            fused=fused, threads=threads, count=count, drx=drx,
-        )
         if force_cpu:
             # The planner-aware brownout FORCE_CPU tier: instead of
             # overriding the cost model outright, it *constrains* it —
@@ -1807,215 +1468,132 @@ class DMXSystem:
             # than the CPU estimate, so a leg whose accelerator path is
             # cheaper than host restructuring keeps it even under
             # brownout (shedding load without pessimizing the leg).
-            if state is not None:
-                state.rerouted = True
-            if self.telemetry.enabled and mspan is not None:
-                mspan.attrs["forced_cpu"] = True
-            self.telemetry.instant(
-                "brownout_force_cpu", "brownout", actor=drx.name,
-                request_id=state.request_id if state is not None else -1,
-            )
-            decision = planner.plan(leg, cpu_ceiling=True)
+            self._force_cpu(leg, state, mspan)
+            decision = self.planner.plan(leg, cpu_ceiling=True)
         else:
-            decision = planner.plan(leg)
+            decision = self.planner.plan(leg)
         backend = decision.backend
-        kind = decision.kind
         target = backend.target(leg)
         self._record_plan(decision, target, state, mspan)
-
-        if kind == BACKEND_CPU:
-            # The CPU path is never breaker-gated or deadline-raced: it
-            # IS the fallback.
-            yield from backend.execute(leg, phases, state, sctx)
-            self.backend_stats[kind]["executed"] += 1
+        if decision.kind == BACKEND_CPU:
+            yield from self._cpu_leg(leg, phases, state, sctx)
             return
-
-        crash_ev = (
-            self.domains.watch(target)
-            if self.domains is not None and target
-            else None
+        yield from self._raced_leg(
+            decision.kind, target, decision.probe, backend.execute, leg,
+            phases, state, sctx,
         )
-        if self._faults is None and crash_ev is None:
-            leg_start = self.sim.now
-            yield from backend.execute(leg, phases, state, sctx)
-            self.backend_stats[kind]["executed"] += 1
-            if self.control is not None and target:
-                self.control.record(
-                    target, True, self.sim.now - leg_start,
-                    probe=decision.probe,
-                )
-            return
 
-        local = PhaseAccumulator(ALL_PHASES)
-        span_start = self.sim.now
-        deadline = (
-            self._faults.drx_deadline_s * count
-            if self._faults is not None
-            else None
-        )
-        attempt = sctx.begin(
-            f"{kind}-attempt", "attempt", deadline_s=deadline,
-            **({"batch": count} if count > 1 else {}),
-            **({"breaker_probe": True} if decision.probe else {}),
-        )
-        actx = sctx.child(attempt)
-        try:
-            yield from self._leg_race(
-                backend.execute(leg, local, state, actx),
-                deadline, crash_ev, target,
-                what=f"{kind}:{target}",
-            )
-        except DomainCrashed as exc:
-            # The chosen backend's failure domain died under the leg:
-            # drain, then rescue exactly once on the CPU backend (the
-            # planner's unconditional survivor).
-            burned = self._rescue_accounting(
-                exc, target, span_start, attempt, sctx, state, phases,
-                decision.probe, count,
-            )
-            cpu = planner.backend(BACKEND_CPU)
-            yield from cpu.execute(leg, phases, state, sctx)
-            self.backend_stats[BACKEND_CPU]["executed"] += 1
-            if state is not None:
-                state.rescued = True
-            self.domains.on_rescue(
-                target, state.request_id if state is not None else -1,
-                burned, count,
-            )
-        except _RECOVERABLE as exc:
-            if self.control is not None and target:
-                self.control.record(
-                    target, False, self.sim.now - span_start,
-                    probe=decision.probe,
-                )
-            if state is not None:
-                state.fell_back = True
-            self._note(
-                "fallback", target or kind, site=kind,
-                request_id=state.request_id if state is not None else -1,
-                detail=type(exc).__name__,
-            )
-            self.telemetry.end(attempt, error=type(exc).__name__)
-            self.telemetry.mark_abandoned(attempt)
-            phases.add(PHASE_RECOVERY, self.sim.now - span_start)
-            self.telemetry.add(
-                "recovery", PHASE_RECOVERY, start=span_start,
-                end=self.sim.now, actor=target or kind,
-                parent=sctx.parent_id, request_id=sctx.request_id,
-                phase=PHASE_RECOVERY, cause=type(exc).__name__,
-            )
-            self.backend_stats[kind]["fallen_back"] += 1
-            cpu = planner.backend(BACKEND_CPU)
-            yield from cpu.execute(leg, phases, state, sctx)
-            self.backend_stats[BACKEND_CPU]["executed"] += 1
-        else:
-            if self.control is not None and target:
-                self.control.record(
-                    target, True, self.sim.now - span_start,
-                    probe=decision.probe,
-                )
-            self.telemetry.end(attempt)
-            for phase, duration in local.totals.items():
-                if duration:
-                    phases.add(phase, duration)
-            self.backend_stats[kind]["executed"] += 1
-
-    def _batched_request(
+    def _request(
         self,
         app_index: int,
         chain: AppChain,
-        count: int,
+        count: int = 1,
+        records: Optional[List[RequestRecord]] = None,
         parent_span: Optional[int] = None,
         force_cpu: bool = False,
     ) -> Generator:
-        """Run ``count`` same-chain requests as one coalesced batch.
+        """Run ``count`` same-chain requests as one coalesced submission.
 
-        Returns one :class:`RequestRecord` per member. All members share
-        the batch's wall-clock interval; phase time is split evenly
-        across members so per-member records still sum to the batch's
-        booked phase totals (and thus reconcile with span-derived
-        totals). Retries/fallback/reroute bookkeeping is tracked on the
-        lead member and propagated to all — a batch degrades or fails as
-        a unit, never losing individual members.
+        Returns one :class:`RequestRecord` per member (and appends them
+        to ``records`` when a sink is given). A request is a batch of
+        one: with ``count == 1`` the member's request span is the root;
+        a larger batch opens a ``batch-exec`` root and parents every
+        member's request span under it (phase spans hang off the shared
+        batch context — the work is genuinely shared). Kernels execute
+        per member; each motion leg pays one coalesced control path.
+        All members share the batch's wall-clock interval; phase time is
+        split evenly across members so per-member records still sum to
+        the batch's booked phase totals (and thus reconcile with
+        span-derived totals). Retries/fallback/reroute bookkeeping is
+        tracked on the lead member and propagated to all — a batch
+        degrades or fails as a unit, never losing individual members.
         """
         phases = PhaseAccumulator(ALL_PHASES)
         states = [_RequestState(next(self._request_ids)) for _ in range(count)]
         lead = states[0]
+        mode = self.config.mode
         start = self.sim.now
         kernel_index = 0
-        root = self.telemetry.begin(
-            f"{chain.name}#b{lead.request_id}x{count}", "batch-exec",
-            actor=chain.name, parent=parent_span,
-            request_id=lead.request_id, mode=self.config.mode.name,
-            app=chain.name, batch=count,
-        )
-        # Every member keeps an addressable request span in the trace,
-        # parented under the batch-exec span (phase spans hang off the
-        # shared batch context — the work is genuinely shared).
-        member_spans = [
-            self.telemetry.begin(
-                f"{chain.name}#r{st.request_id}", "request",
-                actor=chain.name, parent=root, request_id=st.request_id,
-                mode=self.config.mode.name, app=chain.name, batched=True,
+        if count == 1:
+            root = self.telemetry.begin(
+                f"{chain.name}#r{lead.request_id}", "request",
+                actor=chain.name, parent=parent_span,
+                request_id=lead.request_id, mode=mode.name, app=chain.name,
             )
-            for st in states
-        ]
-        member_ctxs = [
-            self.telemetry.context(span, st.request_id)
+            member_spans = [root]
+        else:
+            root = self.telemetry.begin(
+                f"{chain.name}#b{lead.request_id}x{count}", "batch-exec",
+                actor=chain.name, parent=parent_span,
+                request_id=lead.request_id, mode=mode.name,
+                app=chain.name, batch=count,
+            )
+            member_spans = [
+                self.telemetry.begin(
+                    f"{chain.name}#r{st.request_id}", "request",
+                    actor=chain.name, parent=root, request_id=st.request_id,
+                    mode=mode.name, app=chain.name, batched=True,
+                )
+                for st in states
+            ]
+        members = [
+            (st, self.telemetry.context(span, st.request_id))
             for span, st in zip(member_spans, states)
         ]
         rctx = self.telemetry.context(root, lead.request_id)
         try:
             for stage in chain.stages:
-                if isinstance(stage, KernelStage):
-                    if self.config.mode == Mode.ALL_CPU:
-                        threads = max(
-                            1,
-                            min(stage.cpu_threads,
-                                self.cpu.spec.cores // len(self.chains)),
-                        )
-                        for st, mctx in zip(states, member_ctxs):
-                            span, _ = self._phase_span(
-                                mctx, f"kernel{kernel_index}", PHASE_KERNEL,
-                                actor="cpu", threads=threads,
-                            )
-                            yield from self._timed(
-                                phases, PHASE_KERNEL,
-                                self.cpu.run_kernel(
-                                    stage.cpu_latency(threads),
-                                    threads=threads,
-                                ),
-                                span=span,
-                            )
-                    else:
-                        device = self.accel_devices[
-                            self.accel_name(app_index, kernel_index)
-                        ]
-                        # Kernels execute per member — the accelerator
-                        # computes every payload; only control coalesces.
-                        for st, mctx in zip(states, member_ctxs):
-                            span, _ = self._phase_span(
-                                mctx, f"kernel{kernel_index}", PHASE_KERNEL,
-                                actor=device.name,
-                            )
-                            if self._faults is None:
-                                yield from self._timed(
-                                    phases, PHASE_KERNEL, device.execute(),
-                                    span=span,
-                                )
-                            else:
-                                yield from self._timed(
-                                    phases, PHASE_KERNEL,
-                                    self._recovering_kernel(device, st),
-                                    span=span,
-                                )
-                    kernel_index += 1
-                else:
-                    yield from self._batched_motion(
+                if not isinstance(stage, KernelStage):
+                    yield from self._motion(
                         app_index, kernel_index - 1, stage, count, phases,
                         lead, rctx, force_cpu=force_cpu,
                     )
+                    continue
+                if mode == Mode.ALL_CPU:
+                    # Work-conserving scheduling: the MKL-style runtime
+                    # shrinks per-job fan-out as concurrent applications
+                    # saturate the socket, so core-seconds per job fall
+                    # back toward the serial cost under load.
+                    threads = max(
+                        1,
+                        min(stage.cpu_threads,
+                            self.cpu.spec.cores // len(self.chains)),
+                    )
+                    for st, mctx in members:
+                        span, _ = self._phase_span(
+                            mctx, f"kernel{kernel_index}", PHASE_KERNEL,
+                            actor="cpu", threads=threads,
+                        )
+                        yield from self._timed(
+                            phases, PHASE_KERNEL,
+                            self.cpu.run_kernel(
+                                stage.cpu_latency(threads), threads=threads
+                            ),
+                            span=span,
+                        )
+                else:
+                    device = self.accel_devices[
+                        self.accel_name(app_index, kernel_index)
+                    ]
+                    # Kernels execute per member — the accelerator
+                    # computes every payload; only control coalesces.
+                    for st, mctx in members:
+                        span, _ = self._phase_span(
+                            mctx, f"kernel{kernel_index}", PHASE_KERNEL,
+                            actor=device.name,
+                        )
+                        yield from self._timed(
+                            phases, PHASE_KERNEL,
+                            device.execute()
+                            if self._faults is None
+                            else self._recovering_kernel(device, st),
+                            span=span,
+                        )
+                kernel_index += 1
         except _REQUEST_FATAL as exc:
+            # Recovery exhausted (or a drained leg abandoned past its
+            # rescue deadline): answer every member with an error instead
+            # of wedging the chain (or the whole simulation).
             for st in states:
                 st.failed = True
             self._note(
@@ -2033,21 +1611,21 @@ class DMXSystem:
         share = {
             phase: duration / count for phase, duration in phases.totals.items()
         }
-        records = []
+        out = []
         for st, span in zip(states, member_spans):
             self.telemetry.end(
                 span, retries=st.retries, fell_back=st.fell_back,
                 rerouted=st.rerouted, failed=st.failed,
                 **({"rescued": True} if st.rescued else {}),
             )
-            records.append(RequestRecord(
+            out.append(RequestRecord(
                 app=chain.name, start=start, end=end,
                 phases=dict(share),
                 retries=st.retries, fell_back=st.fell_back,
                 rerouted=st.rerouted, failed=st.failed,
                 rescued=st.rescued,
                 request_id=st.request_id,
-                # The batch plans once; every member shares the decision.
+                # A batch plans once; every member shares the decision.
                 backend=(
                     list(lead.leg_backends)
                     if self.planner is not None else None
@@ -2057,113 +1635,15 @@ class DMXSystem:
                     if self.planner is not None else None
                 ),
             ))
-        self.telemetry.end(
-            root, retries=lead.retries, fell_back=lead.fell_back,
-            rerouted=lead.rerouted, failed=lead.failed,
-            **({"rescued": True} if lead.rescued else {}),
-        )
-        return records
-
-    def _request(
-        self,
-        app_index: int,
-        chain: AppChain,
-        records: Optional[List[RequestRecord]] = None,
-        parent_span: Optional[int] = None,
-        force_cpu: bool = False,
-    ) -> Generator:
-        """One end-to-end request; returns its :class:`RequestRecord`
-        (and appends it to ``records`` when a sink is given)."""
-        phases = PhaseAccumulator(ALL_PHASES)
-        state = _RequestState(next(self._request_ids))
-        start = self.sim.now
-        kernel_index = 0
-        root = self.telemetry.begin(
-            f"{chain.name}#r{state.request_id}", "request", actor=chain.name,
-            parent=parent_span, request_id=state.request_id,
-            mode=self.config.mode.name, app=chain.name,
-        )
-        rctx = self.telemetry.context(root, state.request_id)
-        try:
-            for stage in chain.stages:
-                if isinstance(stage, KernelStage):
-                    if self.config.mode == Mode.ALL_CPU:
-                        # Work-conserving scheduling: the MKL-style runtime
-                        # shrinks per-job fan-out as concurrent applications
-                        # saturate the socket, so core-seconds per job fall
-                        # back toward the serial cost under load.
-                        threads = max(
-                            1,
-                            min(stage.cpu_threads,
-                                self.cpu.spec.cores // len(self.chains)),
-                        )
-                        span, _ = self._phase_span(
-                            rctx, f"kernel{kernel_index}", PHASE_KERNEL,
-                            actor="cpu", threads=threads,
-                        )
-                        yield from self._timed(
-                            phases, PHASE_KERNEL,
-                            self.cpu.run_kernel(
-                                stage.cpu_latency(threads), threads=threads
-                            ),
-                            span=span,
-                        )
-                    else:
-                        device = self.accel_devices[
-                            self.accel_name(app_index, kernel_index)
-                        ]
-                        span, _ = self._phase_span(
-                            rctx, f"kernel{kernel_index}", PHASE_KERNEL,
-                            actor=device.name,
-                        )
-                        if self._faults is None:
-                            yield from self._timed(
-                                phases, PHASE_KERNEL, device.execute(),
-                                span=span,
-                            )
-                        else:
-                            yield from self._timed(
-                                phases, PHASE_KERNEL,
-                                self._recovering_kernel(device, state),
-                                span=span,
-                            )
-                    kernel_index += 1
-                else:
-                    yield from self._motion(
-                        app_index, kernel_index - 1, stage, phases, state,
-                        rctx, force_cpu=force_cpu,
-                    )
-        except _REQUEST_FATAL as exc:
-            # Recovery exhausted (or a drained leg abandoned past its
-            # rescue deadline): answer the request with an error instead
-            # of wedging the chain (or the whole simulation).
-            state.failed = True
-            self._note(
-                "giveup", chain.name, site="request",
-                request_id=state.request_id, detail=type(exc).__name__,
+        if count > 1:
+            self.telemetry.end(
+                root, retries=lead.retries, fell_back=lead.fell_back,
+                rerouted=lead.rerouted, failed=lead.failed,
+                **({"rescued": True} if lead.rescued else {}),
             )
-        record = RequestRecord(
-            app=chain.name, start=start, end=self.sim.now,
-            phases=dict(phases.totals),
-            retries=state.retries, fell_back=state.fell_back,
-            rerouted=state.rerouted, failed=state.failed,
-            rescued=state.rescued,
-            request_id=state.request_id,
-            backend=(
-                list(state.leg_backends) if self.planner is not None else None
-            ),
-            planner_reason=(
-                list(state.leg_reasons) if self.planner is not None else None
-            ),
-        )
-        self.telemetry.end(
-            root, retries=state.retries, fell_back=state.fell_back,
-            rerouted=state.rerouted, failed=state.failed,
-            **({"rescued": True} if state.rescued else {}),
-        )
         if records is not None:
-            records.append(record)
-        return record
+            records.extend(out)
+        return out
 
     # -- external entry points -------------------------------------------------
 
@@ -2173,6 +1653,14 @@ class DMXSystem:
             if chain.name == name:
                 return index
         raise KeyError(f"no application chain named {name!r}")
+
+    def _chain_at(self, app_index: int) -> AppChain:
+        if not 0 <= app_index < len(self.chains):
+            raise IndexError(
+                f"app_index {app_index} out of range "
+                f"(0..{len(self.chains) - 1})"
+            )
+        return self.chains[app_index]
 
     def submit(
         self,
@@ -2193,18 +1681,15 @@ class DMXSystem:
         ``parent_span`` hangs the request's span tree under a caller
         span (the serving frontend's client span). ``force_cpu=True``
         restructures every motion stage on the host CPU regardless of
-        placement — the brownout ladder's last tier.
+        placement — the brownout ladder's last tier. A request is a
+        batch of one: this runs the ``count == 1`` case of
+        :meth:`submit_batch`'s code.
         """
-        if not 0 <= app_index < len(self.chains):
-            raise IndexError(
-                f"app_index {app_index} out of range "
-                f"(0..{len(self.chains) - 1})"
-            )
-        record = yield from self._request(
-            app_index, self.chains[app_index], parent_span=parent_span,
-            force_cpu=force_cpu,
+        chain = self._chain_at(app_index)
+        records = yield from self._request(
+            app_index, chain, parent_span=parent_span, force_cpu=force_cpu,
         )
-        return record
+        return records[0]
 
     def submit_batch(
         self,
@@ -2220,26 +1705,18 @@ class DMXSystem:
         Each motion leg pays a single control path for all members (one
         chained descriptor submission + doorbell, one amortized DRX
         program load, one coalesced completion ISR), while kernels and
-        payload restructuring still execute per member. A batch of one
-        takes the exact single-request code path, so
-        ``submit_batch(i, 1)`` is bit-identical to ``submit(i)``.
+        payload restructuring still execute per member. A request is a
+        batch of one: every count runs the same motion path, and at
+        ``count == 1`` each cost formula reduces exactly to the single
+        request's, so ``submit_batch(i, 1)`` is bit-identical to
+        ``submit(i)``.
         """
-        if not 0 <= app_index < len(self.chains):
-            raise IndexError(
-                f"app_index {app_index} out of range "
-                f"(0..{len(self.chains) - 1})"
-            )
+        chain = self._chain_at(app_index)
         if count < 1:
             raise ValueError(f"batch needs count >= 1: {count}")
-        if count == 1:
-            record = yield from self._request(
-                app_index, self.chains[app_index], parent_span=parent_span,
-                force_cpu=force_cpu,
-            )
-            return [record]
-        records = yield from self._batched_request(
-            app_index, self.chains[app_index], count,
-            parent_span=parent_span, force_cpu=force_cpu,
+        records = yield from self._request(
+            app_index, chain, count, parent_span=parent_span,
+            force_cpu=force_cpu,
         )
         return records
 
@@ -2257,7 +1734,7 @@ class DMXSystem:
 
         def app_loop(app_index: int, chain: AppChain) -> Generator:
             for _ in range(requests_per_app):
-                yield from self._request(app_index, chain, records)
+                yield from self._request(app_index, chain, records=records)
 
         for app_index, chain in enumerate(self.chains):
             self.sim.spawn(app_loop(app_index, chain))
@@ -2289,7 +1766,9 @@ class DMXSystem:
         for app_index, chain in enumerate(self.chains):
             for _ in range(requests_per_app):
                 procs.append(
-                    self.sim.spawn(self._request(app_index, chain, records))
+                    self.sim.spawn(
+                        self._request(app_index, chain, records=records)
+                    )
                 )
         self.sim.run()
         self.telemetry.finalize()

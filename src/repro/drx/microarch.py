@@ -136,6 +136,10 @@ class DRXTimingModel:
         """
         if not profiles:
             raise ValueError("batch needs at least one profile")
+        if len(profiles) == 1:
+            # ``launch + (t - launch)`` can round away from ``t``; a batch
+            # of one must price exactly like the single job.
+            return self.time_for_profile(profiles[0])
         launch = self.config.kernel_launch_overhead_s
         return launch + sum(
             self.time_for_profile(p) - launch for p in profiles
@@ -183,54 +187,25 @@ class DRXDevice:
     def restructure(
         self,
         profile: WorkProfile,
+        count: int = 1,
         ctx: Optional["SpanContext"] = None,
     ) -> Generator:
-        """Process: run one restructuring job on this DRX unit.
-
-        ``ctx`` attaches a "drx" span; its ``queued_s`` attribute is the
-        time the job waited behind other jobs on this unit (the shared-DRX
-        contention signal).
-        """
-        duration = self.timing.time_for_profile(profile)
-        start = self.sim.now
-        span = (
-            ctx.begin(self.name, "drx", actor=self.name, service_s=duration)
-            if ctx is not None
-            else None
-        )
-        try:
-            yield from self._server.transfer(duration)
-        except BaseException as exc:
-            if span is not None:
-                ctx.end(span, abandoned=True, error=type(exc).__name__)
-            raise
-        self.jobs_completed += 1
-        self.busy_seconds += duration
-        elapsed = self.sim.now - start
-        if span is not None:
-            ctx.end(span, queued_s=elapsed - duration)
-        return elapsed
-
-    def restructure_batch(
-        self,
-        profiles: "list[WorkProfile]",
-        ctx: Optional["SpanContext"] = None,
-    ) -> Generator:
-        """Process: run a coalesced batch of restructuring jobs as ONE
+        """Process: run ``count`` restructuring jobs of ``profile`` as ONE
         occupancy of this DRX unit.
 
-        The batch holds the unit for
-        :meth:`DRXTimingModel.time_for_profile_batch` — one program load +
-        SYNC pair amortized over all members — and counts every member in
-        ``jobs_completed``. A single-member batch is identical to
-        :meth:`restructure`.
+        The unit is held for :meth:`DRXTimingModel.time_for_profile_batch`
+        — one program load + SYNC pair amortized over every member — and
+        each member counts in ``jobs_completed``; a single job is the
+        ``count == 1`` case. ``ctx`` attaches a "drx" span; its
+        ``queued_s`` attribute is the time the job waited behind other
+        jobs on this unit (the shared-DRX contention signal).
         """
-        duration = self.timing.time_for_profile_batch(profiles)
+        duration = self.timing.time_for_profile_batch([profile] * count)
         start = self.sim.now
         span = (
             ctx.begin(
                 self.name, "drx", actor=self.name, service_s=duration,
-                batch=len(profiles),
+                **({"batch": count} if count > 1 else {}),
             )
             if ctx is not None
             else None
@@ -241,7 +216,7 @@ class DRXDevice:
             if span is not None:
                 ctx.end(span, abandoned=True, error=type(exc).__name__)
             raise
-        self.jobs_completed += len(profiles)
+        self.jobs_completed += count
         self.busy_seconds += duration
         elapsed = self.sim.now - start
         if span is not None:

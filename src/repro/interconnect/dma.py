@@ -149,12 +149,21 @@ class DMAEngine:
         charge_completion: bool = True,
         on_retry: Optional[Callable[[int, BaseException, bool], None]] = None,
         ctx: Optional["SpanContext"] = None,
+        descriptors: int = 1,
     ) -> Generator:
-        """Process: one DMA from ``src`` to ``dst``.
+        """Process: one DMA submission moving ``nbytes`` from ``src`` to
+        ``dst``.
 
         ``charge_setup`` / ``charge_completion`` let callers batch multiple
         back-to-back DMAs under a single driver invocation (used by the
         one-to-many collectives, where descriptors are chained).
+        ``descriptors > 1`` is one descriptor-ring submission carrying
+        that many member payloads (``nbytes`` is their sum): one driver
+        invocation (ioctl + doorbell, in ``setup_s``) plus
+        ``chained_descriptor_s`` per extra descriptor, one fabric
+        crossing and one completion interrupt — the coalesced-job cost
+        model. Under the recovery plane the chain retries *as a unit*, so
+        no member payload is lost.
         ``on_retry`` (recovery mode only) observes each failed attempt.
         ``ctx`` attaches a "dma" telemetry span (covering every retry of
         this transfer) under the caller's span tree.
@@ -163,58 +172,20 @@ class DMAEngine:
         """
         if nbytes < 0:
             raise ValueError(f"negative DMA size: {nbytes}")
-        span = (
-            ctx.begin(f"{src}->{dst}", "dma", actor=self.name, bytes=nbytes)
-            if ctx is not None
-            else None
-        )
-        try:
-            elapsed = yield from self._transfer(
-                src, dst, nbytes, charge_setup, charge_completion, on_retry
-            )
-        except BaseException as exc:
-            if span is not None:
-                ctx.end(span, abandoned=True, error=type(exc).__name__)
-            raise
-        if span is not None:
-            ctx.end(span)
-        return elapsed
-
-    def transfer_chained(
-        self,
-        src: str,
-        dst: str,
-        sizes: "list[int]",
-        on_retry: Optional[Callable[[int, BaseException, bool], None]] = None,
-        ctx: Optional["SpanContext"] = None,
-    ) -> Generator:
-        """Process: one descriptor-ring submission moving ``len(sizes)``
-        member payloads from ``src`` to ``dst``.
-
-        The whole chain pays one driver invocation (ioctl + doorbell, in
-        ``setup_s``) plus ``chained_descriptor_s`` per extra descriptor,
-        one fabric crossing of the summed bytes, and one completion
-        interrupt — the coalesced-job cost model. Under the recovery
-        plane the chain retries *as a unit*: a failed batch DMA re-issues
-        every member descriptor, so no member payload is lost.
-        """
-        if not sizes:
-            raise ValueError("chained transfer needs at least one segment")
-        if any(size < 0 for size in sizes):
-            raise ValueError(f"negative DMA segment in {sizes}")
-        nbytes = sum(sizes)
+        if descriptors < 1:
+            raise ValueError(f"DMA needs descriptors >= 1: {descriptors}")
         span = (
             ctx.begin(
                 f"{src}->{dst}", "dma", actor=self.name, bytes=nbytes,
-                descriptors=len(sizes),
+                **({"descriptors": descriptors} if descriptors > 1 else {}),
             )
             if ctx is not None
             else None
         )
         try:
             elapsed = yield from self._transfer(
-                src, dst, nbytes, True, True, on_retry,
-                descriptors=len(sizes),
+                src, dst, nbytes, charge_setup, charge_completion, on_retry,
+                descriptors=descriptors,
             )
         except BaseException as exc:
             if span is not None:

@@ -19,6 +19,7 @@ from repro.drx import (
     DRXCompiler,
     DRXConfig,
     DRXMemory,
+    DRXTimingModel,
     FunctionalDRX,
     assemble,
     disassemble,
@@ -256,6 +257,27 @@ def test_scale_profile_linear_in_volume(bytes_in, bytes_out, elements, ops,
     assert scaled.bytes_in == int(round(bytes_in * factor))
     assert scaled.elements == int(round(elements * factor))
     assert scaled.ops_per_element == profile.ops_per_element
+
+
+@given(st.integers(0, 10**9), st.integers(0, 10**9), st.integers(0, 10**7),
+       st.floats(0, 1000, allow_nan=False),
+       st.floats(0, 1, allow_nan=False),
+       st.floats(0, 1e-3, allow_nan=False),
+       st.sampled_from([250e6, 1e9, 1.7e9]))
+@settings(max_examples=200, deadline=None)
+def test_batch_of_one_prices_exactly_like_one_job(bytes_in, bytes_out,
+                                                  elements, ops, vectorizable,
+                                                  launch, frequency):
+    """A one-member DRX batch costs bit-for-bit what the single job does:
+    a request is a batch of one, so ``submit_batch(i, 1)`` and
+    ``submit(i)`` must hold the unit for the same float."""
+    profile = WorkProfile("p", bytes_in, bytes_out, elements, ops,
+                          vectorizable_fraction=vectorizable)
+    timing = DRXTimingModel(DRXConfig(kernel_launch_overhead_s=launch,
+                                      frequency_hz=frequency))
+    single = timing.time_for_profile(profile)
+    batch = timing.time_for_profile_batch([profile])
+    assert batch.hex() == single.hex()
 
 
 # -- DES engine ---------------------------------------------------------------------
