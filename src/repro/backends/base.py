@@ -17,7 +17,8 @@ Every backend answers the same three questions about one
 * **what would it cost right now?** — :meth:`RestructureBackend.estimate`
   returns a :class:`CostEstimate` splitting contention-free service time
   from the expected queueing behind the backend's *current* occupancy
-  (the live signal the planner keys on);
+  (the live signal the planner keys on). The static half is priced once
+  per leg by :meth:`RestructureBackend._price`; only the depth is live;
 * **run it** — :meth:`RestructureBackend.execute` delegates to the
   owning :class:`~repro.core.system.DMXSystem`'s motion helpers so
   span/phase accounting stays identical to the non-planned paths.
@@ -31,10 +32,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Dict, Generator, Optional, Tuple
 
 from ..core.chain import MotionStage
 from ..core.placement import Mode
+from ..energy.models import EnergyParams
 from ..profiles import WorkProfile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -55,6 +57,9 @@ BACKEND_XDMA = "xdma"
 
 #: Every backend kind, in the planner's deterministic evaluation order.
 BACKEND_KINDS = (BACKEND_XDMA, BACKEND_DSA, BACKEND_DRX, BACKEND_CPU)
+
+#: Per-busy-core active power: prices host core time in energy estimates.
+CPU_CORE_ACTIVE_W = EnergyParams.cpu_core_active_w
 
 
 @dataclass(frozen=True)
@@ -115,6 +120,9 @@ class RestructureBackend(abc.ABC):
     def __init__(self, system: "DMXSystem", queue_weight: float = 1.0):
         self.system = system
         self.queue_weight = queue_weight
+        # id(leg) -> (leg, *_price(leg)); legs are immutable and built
+        # once per system, so an entry is matched by identity, not hash.
+        self._prices: Dict[int, tuple] = {}
 
     def eligible(self, leg: LegSpec) -> bool:
         """Can this backend execute ``leg`` at all?"""
@@ -129,8 +137,28 @@ class RestructureBackend(abc.ABC):
         """Jobs currently occupying + waiting on the backend's resource."""
 
     @abc.abstractmethod
+    def _price(self, leg: LegSpec) -> Tuple[float, float, int, float]:
+        """The static price of ``leg``: ``(service_s, energy_j, slots,
+        per_job_s)`` — each queued job waits ``per_job_s`` on one of
+        ``slots`` parallel servers."""
+
     def estimate(self, leg: LegSpec) -> CostEstimate:
-        """Price ``leg`` under current contention (pure, zero sim time)."""
+        """Price ``leg`` under current contention (pure, zero sim time).
+        Subclasses keep a delegating def so instrumentation can wrap it."""
+        entry = self._prices.get(id(leg))
+        if entry is None or entry[0] is not leg:
+            entry = self._prices[id(leg)] = (leg, *self._price(leg))
+        _, service, energy, slots, per_job = entry
+        depth = self.queue_depth(leg)
+        queue = depth / slots * per_job * self.queue_weight
+        return CostEstimate(service, queue, depth, energy)
+
+    def _host_work(self, cost: float) -> Generator:
+        """Host core time (submission, polling, descriptor programming):
+        wall time + host CPU energy, no core-pool queueing (like an ISR,
+        the issuing core runs it inline)."""
+        yield self.system.sim.timeout(cost)
+        self.system.cpu.busy_seconds += cost
 
     @abc.abstractmethod
     def execute(
@@ -164,6 +192,9 @@ class DRXBackend(RestructureBackend):
         return server.queue_length + server.in_use
 
     def estimate(self, leg: LegSpec) -> CostEstimate:
+        return super().estimate(leg)
+
+    def _price(self, leg: LegSpec) -> Tuple[float, float, int, float]:
         s = self.system
         n = leg.count
         timing = leg.drx.timing
@@ -184,12 +215,8 @@ class DRXBackend(RestructureBackend):
                 leg.src, leg.staging, n * leg.stage.input_bytes
             ) + chain_extra
             service = in_est + restructure + notify + out_est
-        depth = self.queue_depth(leg)
-        queue = depth * timing.time_for_profile(leg.fused) * self.queue_weight
         energy = restructure * leg.drx.config.power_w
-        return CostEstimate(
-            service_s=service, queue_s=queue, depth=depth, energy_j=energy
-        )
+        return service, energy, 1, timing.time_for_profile(leg.fused)
 
     def execute(self, leg, phases, state, ctx) -> Generator:
         yield from self.system._drx_motion(leg, phases, state, ctx)
@@ -211,6 +238,9 @@ class CPUBackend(RestructureBackend):
         return self.system.cpu.cores.queue_length
 
     def estimate(self, leg: LegSpec) -> CostEstimate:
+        return super().estimate(leg)
+
+    def _price(self, leg: LegSpec) -> Tuple[float, float, int, float]:
         s = self.system
         cpu = s.cpu
         n = leg.count
@@ -226,14 +256,8 @@ class CPUBackend(RestructureBackend):
             "root", leg.dst, n * leg.stage.output_bytes
         )
         service = in_est + n * per_job + out_est
-        depth = self.queue_depth(leg)
-        queue = (
-            depth / cpu.spec.cores * per_job * self.queue_weight
-        )
-        energy = n * per_job * threads * 10.5  # cpu_core_active_w
-        return CostEstimate(
-            service_s=service, queue_s=queue, depth=depth, energy_j=energy
-        )
+        energy = n * per_job * threads * CPU_CORE_ACTIVE_W
+        return service, energy, cpu.spec.cores, per_job
 
     def execute(self, leg, phases, state, ctx) -> Generator:
         yield from self.system._multi_axl_motion(leg, phases, state, ctx)

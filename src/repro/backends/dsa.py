@@ -23,20 +23,18 @@ the Multi-Axl staging path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional, Tuple
 
 from ..profiles import WorkProfile
 from ..sim import Server, Simulator
-from .base import BACKEND_DSA, CostEstimate, LegSpec, RestructureBackend
+from .base import (
+    BACKEND_DSA, CPU_CORE_ACTIVE_W, CostEstimate, LegSpec, RestructureBackend,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry import SpanContext
 
 __all__ = ["DSAConfig", "DSADevice", "DSABackend"]
-
-#: Per-busy-core active power (mirrors EnergyParams.cpu_core_active_w) —
-#: prices the submission/poll core time in the energy estimate.
-_CPU_CORE_ACTIVE_W = 10.5
 
 
 @dataclass(frozen=True)
@@ -161,6 +159,9 @@ class DSABackend(RestructureBackend):
         return self.device.queue_depth
 
     def estimate(self, leg: LegSpec) -> CostEstimate:
+        return super().estimate(leg)
+
+    def _price(self, leg: LegSpec) -> Tuple[float, float, int, float]:
         s = self.system
         cfg = self.config
         n = leg.count
@@ -173,20 +174,8 @@ class DSABackend(RestructureBackend):
             "root", leg.dst, n * leg.stage.output_bytes
         )
         service = in_est + host + work + out_est
-        depth = self.queue_depth(leg)
-        queue = (
-            depth / cfg.engines * cfg.job_time(leg.fused) * self.queue_weight
-        )
-        energy = work * cfg.power_w + host * _CPU_CORE_ACTIVE_W
-        return CostEstimate(
-            service_s=service, queue_s=queue, depth=depth, energy_j=energy
-        )
-
-    def _host_work(self, cost: float) -> Generator:
-        """Submission/poll core time: wall time + host CPU energy, no
-        core-pool queueing (like an ISR, the issuing core runs it inline)."""
-        yield self.system.sim.timeout(cost)
-        self.system.cpu.busy_seconds += cost
+        energy = work * cfg.power_w + host * CPU_CORE_ACTIVE_W
+        return service, energy, cfg.engines, cfg.job_time(leg.fused)
 
     def _guarded_process(self, leg: LegSpec, state, ctx) -> Generator:
         s = self.system

@@ -22,18 +22,18 @@ onto the DRX.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional, Tuple
 
 from ..core.chain import MotionStage
 from ..sim import AllOf, Server, Simulator
-from .base import BACKEND_XDMA, CostEstimate, LegSpec, RestructureBackend
+from .base import (
+    BACKEND_XDMA, CPU_CORE_ACTIVE_W, CostEstimate, LegSpec, RestructureBackend,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry import SpanContext
 
 __all__ = ["XDMAConfig", "XDMADevice", "XDMABackend"]
-
-_CPU_CORE_ACTIVE_W = 10.5  # mirrors EnergyParams.cpu_core_active_w
 
 
 @dataclass(frozen=True)
@@ -160,6 +160,9 @@ class XDMABackend(RestructureBackend):
         return leg.count * max(leg.stage.input_bytes, leg.stage.output_bytes)
 
     def estimate(self, leg: LegSpec) -> CostEstimate:
+        return super().estimate(leg)
+
+    def _price(self, leg: LegSpec) -> Tuple[float, float, int, float]:
         s = self.system
         cfg = self.config
         n = leg.count
@@ -168,20 +171,9 @@ class XDMABackend(RestructureBackend):
         wire += (n - 1) * s.dma.costs.chained_descriptor_s
         transform = cfg.transform_time(n * leg.stage.input_bytes)
         service = program + max(wire, transform)
-        depth = self.queue_depth(leg)
-        queue = (
-            depth / cfg.channels
-            * cfg.transform_time(leg.stage.input_bytes)
-            * self.queue_weight
-        )
-        energy = transform * cfg.power_w + program * _CPU_CORE_ACTIVE_W
-        return CostEstimate(
-            service_s=service, queue_s=queue, depth=depth, energy_j=energy
-        )
-
-    def _host_work(self, cost: float) -> Generator:
-        yield self.system.sim.timeout(cost)
-        self.system.cpu.busy_seconds += cost
+        energy = transform * cfg.power_w + program * CPU_CORE_ACTIVE_W
+        per_job = cfg.transform_time(leg.stage.input_bytes)
+        return service, energy, cfg.channels, per_job
 
     def _guarded_transform(self, leg: LegSpec, state, ctx) -> Generator:
         s = self.system

@@ -13,19 +13,21 @@ All prices come from the same :class:`~repro.backends.base.CostEstimate`
 machinery the per-leg planner ranks on: the DRX/CPU backends are priced
 on a representative leg per application chain (the chain's first motion
 stage, staged on the app's *current* card — live queue depths and the
-live placement both feed the bid). Estimates are pure functions of DES
-state: pricing a tier advances no clock and draws no randomness, so two
-equal-seed runs bid — and therefore step — identically.
+live placement both feed the bid). That leg is the system's cached
+``LegSpec``, the one the motion path dispatches, so its static price is
+memoized and a tick re-reads only the queue terms; a migration swaps the
+leg. Estimates are pure functions of DES state: pricing a tier advances
+no clock and draws no randomness, so two equal-seed runs bid — and
+therefore step — identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, List
 
 from ..backends.base import CPUBackend, DRXBackend, LegSpec
 from ..core.chain import MotionStage
-from ..core.system import SCRATCHPAD_FUSION
 from ..resilience.brownout import BrownoutTier
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,28 +53,14 @@ class TierBid:
 
 def _representative_leg(system: "DMXSystem", app_index: int) -> LegSpec:
     """The chain's first motion stage, bound to its *current* card."""
-    from dataclasses import replace
-
     chain = system.chains[app_index]
     for stage_index, stage in enumerate(chain.stages):
         if not isinstance(stage, MotionStage):
             continue
         src = system._accel_names[(app_index, stage_index - 1)]
         dst = system._accel_names[(app_index, stage_index + 1)]
-        drx_name = system.card_of_app(app_index)
-        drx = system.drx_devices[drx_name]
-        if SCRATCHPAD_FUSION:
-            fused = replace(
-                stage.profile,
-                bytes_in=stage.input_bytes,
-                bytes_out=stage.output_bytes,
-            )
-        else:
-            fused = stage.profile
-        return LegSpec(
-            mode=system.config.mode, src=src, dst=dst, staging=drx_name,
-            stage=stage, fused=fused, threads=stage.cpu_threads, drx=drx,
-        )
+        drx = system.drx_devices[system.card_of_app(app_index)]
+        return system._leg_spec(src, dst, stage, 1, drx, drx.name)
     raise ValueError(f"chain {chain.name!r} has no motion stage to price")
 
 
@@ -105,14 +93,9 @@ class TierCostModel:
         # queue_weight matches what dispatch actually pays); otherwise
         # build bare ones — both price without touching the sim.
         planner = system.planner
-        if planner is not None and "drx" in planner.backends:
-            self._drx = planner.backends["drx"]
-        else:
-            self._drx = DRXBackend(system)
-        if planner is not None:
-            self._cpu = planner.backends["cpu"]
-        else:
-            self._cpu = CPUBackend(system)
+        backends = planner.backends if planner is not None else {}
+        self._drx = backends.get("drx") or DRXBackend(system)
+        self._cpu = backends.get("cpu") or CPUBackend(system)
 
     def bids(self, slo_s: float, shed_fraction: float) -> List[TierBid]:
         """Current bids for every actionable tier, in tier order."""

@@ -86,6 +86,8 @@ class Fabric:
         # Optional fault hook: when set (a repro.faults.FaultInjector),
         # every transfer consults the "fabric" site before acquiring links.
         self.injector = None
+        # (src, dst) -> static route (see _route); cleared on every build step.
+        self._routes: Dict[Tuple[str, str], tuple] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -99,6 +101,7 @@ class Fabric:
         parent.children.append(node)
         self.nodes[name] = node
         self.links.append(link)
+        self._routes.clear()
         return node
 
     def add_switch(self, name: str, parent: Optional[Node] = None) -> Node:
@@ -158,6 +161,7 @@ class Fabric:
         node_a.mux_peers[b] = link
         node_b.mux_peers[a] = link
         self.links.append(link)
+        self._routes.clear()
         return link
 
     def endpoints(self) -> List[Node]:
@@ -205,13 +209,30 @@ class Fabric:
         links.extend(reversed(down))
         return links, switch_hops
 
-    def _cut_through_duration(self, links, switch_hops: int, nbytes: int) -> float:
+    def _route(self, src: str, dst: str) -> tuple:
+        """Memoized ``(unique links, bandwidths, propagation, switch hops,
+        acquisition order)`` for ``src -> dst``: an inline device shares
+        its host's link; links are taken name-sorted (deadlock-free)."""
+        route = self._routes.get((src, dst))
+        if route is None:
+            links, switch_hops = self.path(src, dst)
+            unique = list({id(link): link for link in links}.values())
+            route = self._routes[src, dst] = (
+                unique,
+                [link.bandwidth for link in unique],
+                sum(link.config.propagation_latency_s for link in unique),
+                switch_hops,
+                sorted(unique, key=lambda l: l.name),
+            )
+        return route
+
+    def _cut_through(self, route: tuple, nbytes: int) -> float:
         """PCIe transfers are cut-through: TLPs stream across every link on
         the path simultaneously, so the serialization time is paid once (at
         the narrowest link), plus per-link propagation and per-switch
         port-to-port latency."""
-        bottleneck = max(nbytes / link.bandwidth for link in links)
-        propagation = sum(link.config.propagation_latency_s for link in links)
+        _, bandwidths, propagation, switch_hops, _ = route
+        bottleneck = max(nbytes / bandwidth for bandwidth in bandwidths)
         return bottleneck + propagation + switch_hops * self.switch_latency_s
 
     def transfer(self, src: str, dst: str, nbytes: int) -> Generator:
@@ -231,19 +252,14 @@ class Fabric:
             yield from self.injector.interpose(
                 "fabric", actor=f"{src}->{dst}"
             )
-        links, switch_hops = self.path(src, dst)
-        if not links:
+        route = self._route(src, dst)
+        if not route[0]:
             return 0.0
-        # Deduplicate (an inline device shares its host's physical link)
-        # and sort for deadlock-free acquisition.
-        unique = {id(link): link for link in links}
-        duration = self._cut_through_duration(
-            list(unique.values()), switch_hops, nbytes
-        )
+        duration = self._cut_through(route, nbytes)
         held = []
         pending = None
         try:
-            for link in sorted(unique.values(), key=lambda l: l.name):
+            for link in route[4]:
                 request = link.acquire()
                 pending = (link, request)
                 yield request
@@ -263,13 +279,8 @@ class Fabric:
 
     def unloaded_latency(self, src: str, dst: str, nbytes: int) -> float:
         """Contention-free transfer latency, for analytical estimates."""
-        links, switch_hops = self.path(src, dst)
-        if not links:
-            return 0.0
-        unique = {id(link): link for link in links}
-        return self._cut_through_duration(
-            list(unique.values()), switch_hops, nbytes
-        )
+        route = self._route(src, dst)
+        return self._cut_through(route, nbytes) if route[0] else 0.0
 
     def total_bytes_moved(self) -> int:
         """Total bytes crossing any link — the data-movement metric."""

@@ -156,3 +156,59 @@ def test_total_bytes_moved_counts_every_link_crossing():
     sim.run()
     # 4 links crossed, 1 MB each.
     assert fabric.total_bytes_moved() == 4 * MB
+
+
+# -- route memo ------------------------------------------------------------
+
+
+def _tree_walk_latency(fabric, src, dst, nbytes):
+    """Unloaded latency recomputed from a fresh tree walk over path()."""
+    links, switch_hops = fabric.path(src, dst)
+    if not links:
+        return 0.0
+    unique = list({id(link): link for link in links}.values())
+    bottleneck = max(nbytes / link.bandwidth for link in unique)
+    propagation = sum(link.config.propagation_latency_s for link in unique)
+    return bottleneck + propagation + switch_hops * fabric.switch_latency_s
+
+
+def test_memoized_route_latency_is_the_tree_walk_in_every_mode():
+    from repro.core import DMXSystem, Mode, SystemConfig
+    from repro.workloads import build_benchmark_chains
+
+    chains = build_benchmark_chains("sound-detection", 3)
+    for mode in Mode:
+        system = DMXSystem(
+            chains, SystemConfig(mode=mode, accelerators_per_switch=2)
+        )
+        fabric = system.fabric
+        names = sorted(node.name for node in fabric.endpoints()) + ["root"]
+        for src in names:
+            for dst in names:
+                for nbytes in (0, 3 * 1024, 4 * MB + 7):
+                    expected = _tree_walk_latency(fabric, src, dst, nbytes)
+                    # First read fills the memo, second one hits it.
+                    assert fabric.unloaded_latency(src, dst, nbytes) == expected
+                    assert fabric.unloaded_latency(src, dst, nbytes) == expected
+        assert len(fabric._routes) == len(names) ** 2
+
+
+def test_route_memo_is_invalidated_by_a_new_mux_link():
+    sim = Simulator()
+    fabric = build_two_switch_fabric(sim)
+    before = fabric.unloaded_latency("a0", "a1", MB)
+    fast = LinkConfig(lanes=16)
+    mux = fabric.add_mux_pair("a0", "a1", fast)
+    after = fabric.unloaded_latency("a0", "a1", MB)
+    assert after == _tree_walk_latency(fabric, "a0", "a1", MB)
+    assert after == mux.transfer_time(MB)
+    assert after < before
+
+    def mover(sim):
+        yield from fabric.transfer("a0", "a1", MB)
+
+    sim.spawn(mover(sim))
+    sim.run()
+    # The transfer rode the mux, not the switch links.
+    assert mux.bytes_moved == MB
+    assert fabric.nodes["a0"].uplink.bytes_moved == 0
