@@ -247,8 +247,6 @@ class ClosedLoopController:
 
     def _note(self, now: float, kind: str, detail: str, **attrs) -> None:
         self.actions.append((now, kind, detail))
-        if not self.telemetry.enabled:
-            return
         self.telemetry.counter("controller_actions", kind=kind).inc()
         self.telemetry.instant(f"controller_{kind}", "controller", **attrs)
 
@@ -279,11 +277,7 @@ class ClosedLoopController:
             )
         if self._pool or self.config.drive_placement:
             self._run_placement(now, initial=True)
-        if (
-            self.telemetry.enabled
-            and self.config.drive_tiers
-            and self.frontend._brownout is not None
-        ):
+        if self.config.drive_tiers and self.frontend._brownout is not None:
             self.telemetry.metrics.gauge("brownout_tier").sample(
                 now, int(self.frontend._brownout.tier)
             )
@@ -362,10 +356,7 @@ class ClosedLoopController:
         if change is None:
             return
         old, new = change
-        if self.telemetry.enabled:
-            self.telemetry.metrics.gauge("brownout_tier").sample(
-                now, int(new)
-            )
+        self.telemetry.metrics.gauge("brownout_tier").sample(now, int(new))
         self._note(
             now, "tier",
             f"tier {old.name} -> {new.name} "

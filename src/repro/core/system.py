@@ -338,7 +338,6 @@ class DMXSystem:
         chains: List[AppChain],
         config: SystemConfig,
         faults: Optional[FaultPlan] = None,
-        telemetry_enabled: bool = True,
         resilience: Optional[ResilienceConfig] = None,
         backends: Optional["PlannerConfig"] = None,
         domains: Optional[CrashPlan] = None,
@@ -353,7 +352,7 @@ class DMXSystem:
         self.chains = chains
         self.config = config
         self.sim = Simulator()
-        self.telemetry = Telemetry(self.sim, enabled=telemetry_enabled)
+        self.telemetry = Telemetry(self.sim)
         self._metrics_recorded = False
         self._faults = faults
         self._request_ids = itertools.count()
@@ -581,8 +580,7 @@ class DMXSystem:
             if will_retry:
                 if state is not None:
                     state.retries += 1
-                if self.telemetry.enabled:
-                    self.telemetry.counter("retries", site=site).inc()
+                self.telemetry.counter("retries", site=site).inc()
                 self._note("retry", actor, site=site, request_id=rid,
                            detail=type(exc).__name__)
             else:
@@ -928,7 +926,7 @@ class DMXSystem:
         """Book the brownout FORCE_CPU tier steering one leg to the host."""
         if state is not None:
             state.rerouted = True
-        if self.telemetry.enabled and mspan is not None:
+        if mspan is not None:
             mspan.attrs["forced_cpu"] = True
         self.telemetry.instant(
             "brownout_force_cpu", "brownout", actor=leg.drx.name,
@@ -958,13 +956,12 @@ class DMXSystem:
         """
         drx = leg.drx
         rid = state.request_id if state is not None else -1
-        record_spans = self.telemetry.enabled and mspan is not None
         if force_cpu:
             self._force_cpu(leg, state, mspan)
             return None
         down = self.domains is not None and self.domains.is_down(drx.name)
         if down:
-            if record_spans:
+            if mspan is not None:
                 mspan.attrs["domain_down"] = True
         else:
             if self.control is None:
@@ -972,7 +969,7 @@ class DMXSystem:
             decision = self.control.admit(drx.name)
             if decision.allow:
                 return leg, decision.probe
-            if record_spans:
+            if mspan is not None:
                 mspan.attrs["breaker_open"] = True
         if self.control is None or self.control.config.reroute_alternates:
             for alt, alt_staging in self._alternate_placements(
@@ -992,7 +989,7 @@ class DMXSystem:
                     probe = False
                 if state is not None:
                     state.rerouted = True
-                if record_spans:
+                if mspan is not None:
                     mspan.attrs["rerouted_to"] = alt.name
                 if self.control is not None:
                     self.control.note_reroute(drx.name, alt.name, rid)
@@ -1001,7 +998,7 @@ class DMXSystem:
                 ), probe
         if state is not None:
             state.rerouted = True
-        if record_spans:
+        if mspan is not None:
             mspan.attrs["rerouted_to"] = "cpu"
         if self.control is not None:
             self.control.note_reroute(drx.name, "cpu", rid)
@@ -1434,18 +1431,17 @@ class DMXSystem:
         if state is not None:
             state.leg_backends.append(kind)
             state.leg_reasons.append(decision.reason)
-        if self.telemetry.enabled:
-            if mspan is not None:
-                mspan.attrs["backend"] = kind
-                mspan.attrs["planner_reason"] = decision.reason
-                if decision.skipped:
-                    mspan.attrs["rerouted_to"] = kind
-            self.telemetry.counter("planner_decisions", backend=kind).inc()
-            if decision.estimate is not None:
-                self.telemetry.sample_gauge(
-                    "planner_queue_depth", float(decision.estimate.depth),
-                    backend=kind,
-                )
+        if mspan is not None:
+            mspan.attrs["backend"] = kind
+            mspan.attrs["planner_reason"] = decision.reason
+            if decision.skipped:
+                mspan.attrs["rerouted_to"] = kind
+        self.telemetry.counter("planner_decisions", backend=kind).inc()
+        if decision.estimate is not None:
+            self.telemetry.sample_gauge(
+                "planner_queue_depth", float(decision.estimate.depth),
+                backend=kind,
+            )
 
     def _planned_motion(
         self,
@@ -1795,7 +1791,7 @@ class DMXSystem:
         """Fold end-of-run device/driver counters into the metrics
         registry (idempotent — the serving frontend and the run drivers
         may both call it)."""
-        if self._metrics_recorded or not self.telemetry.enabled:
+        if self._metrics_recorded:
             return
         self._metrics_recorded = True
         t = self.telemetry

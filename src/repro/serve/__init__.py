@@ -13,9 +13,9 @@ fixed request counts, this package models *sustained online traffic*:
   time-out window) feeding coalesced submissions via
   :meth:`DMXSystem.submit_batch` (one descriptor chain + doorbell +
   completion ISR per batch);
-* :mod:`repro.serve.slo` — streaming p50/p95/p99 latency percentiles
-  (P² + exact), per-tenant goodput, shed/violation counts, queue-depth
-  timelines on the sim clock;
+* :mod:`repro.serve.slo` — exact p50/p95/p99 latency percentiles,
+  per-tenant goodput, shed/violation counts, queue-depth timelines on
+  the sim clock;
 * :mod:`repro.serve.sweep` — latency-vs-offered-load knee curves per
   system :class:`~repro.core.placement.Mode`, optionally with a
   :class:`~repro.faults.FaultPlan` armed.

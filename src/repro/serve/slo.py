@@ -5,23 +5,18 @@ including admission-queue wait — the quantity SLOs are written against,
 as opposed to the service-only latency in
 :class:`~repro.core.system.RequestRecord`.
 
-Percentiles are tracked two ways at once:
-
-* a bounded-memory **streaming** estimate per tracked quantile via the
-  P² algorithm (Jain & Chlamtác, CACM 1985) — O(1) state per quantile,
-  what a production frontend would run;
-* an optional **exact** computation from retained samples (the default
-  at simulation scale), so sweep results are reproducible to the byte
-  and assertions about knee curves don't ride on estimator error.
-
-:class:`LatencyTracker` answers ``percentile(q)`` from the exact samples
-when retained and falls back to the P² estimate otherwise.
+:class:`LatencyTracker` retains every sample and answers percentiles
+exactly, so sweep results are reproducible to the byte and assertions
+about knee curves don't ride on estimator error. :class:`P2Quantile`
+(the P² algorithm, Jain & Chlamtác, CACM 1985) is the bounded-memory
+streaming estimate a production frontend would run instead; it is kept
+as a standalone estimator and feeds nothing here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..sim.tracing import exact_percentile as _exact_percentile
 from ..telemetry.metrics import time_weighted_mean
@@ -124,34 +119,17 @@ class P2Quantile:
 
 
 class LatencyTracker:
-    """Latency stream: streaming P² percentiles + optional exact samples.
+    """Latency stream with exact percentiles over every retained sample."""
 
-    ``retain=True`` (the default) keeps every sample so
-    :meth:`percentile` is exact; with ``retain=False`` memory stays O(1)
-    and tracked quantiles come from the P² estimators (untracked
-    quantiles then raise).
-    """
-
-    def __init__(
-        self,
-        quantiles: Tuple[float, ...] = DEFAULT_QUANTILES,
-        retain: bool = True,
-    ):
-        self._estimators: Dict[float, P2Quantile] = {
-            q: P2Quantile(q) for q in quantiles
-        }
-        self._samples: Optional[List[float]] = [] if retain else None
+    def __init__(self) -> None:
+        self._samples: List[float] = []
         # Sorted view of ``_samples``, invalidated on add: ``summary()``
-        # asks for one percentile per tracked quantile, and re-sorting
-        # the full sample list per quantile dominated large sweeps.
+        # asks for one percentile per quantile, and re-sorting the full
+        # sample list per quantile dominated large sweeps.
         self._sorted: Optional[List[float]] = None
         self.count = 0
         self.total = 0.0
         self.max = 0.0
-
-    @property
-    def quantiles(self) -> Tuple[float, ...]:
-        return tuple(self._estimators)
 
     def add(self, x: float) -> None:
         if x < 0:
@@ -160,11 +138,8 @@ class LatencyTracker:
         self.total += x
         if x > self.max:
             self.max = x
-        for estimator in self._estimators.values():
-            estimator.add(x)
-        if self._samples is not None:
-            self._samples.append(x)
-            self._sorted = None
+        self._samples.append(x)
+        self._sorted = None
 
     def mean(self) -> float:
         if self.count == 0:
@@ -172,46 +147,25 @@ class LatencyTracker:
         return self.total / self.count
 
     def percentile(self, q: float) -> float:
-        """Exact when samples are retained, else the P² estimate.
-
-        Exact answers come from a cached sorted view built on the first
-        percentile query after an :meth:`add` — one sort amortized over
-        every quantile a summary asks for.
-        """
+        """Exact percentile from a cached sorted view, built on the
+        first query after an :meth:`add` — one sort amortized over every
+        quantile a summary asks for."""
         if self.count == 0:
             raise ValueError("percentile of an empty tracker")
-        if self._samples is not None:
-            ordered = self._sorted
-            if ordered is None:
-                ordered = self._sorted = sorted(self._samples)
-            return _exact_percentile(ordered, q)
-        if q not in self._estimators:
-            raise KeyError(
-                f"quantile {q} not tracked (streaming mode tracks "
-                f"{self.quantiles})"
-            )
-        return self._estimators[q].value
+        ordered = self._sorted
+        if ordered is None:
+            ordered = self._sorted = sorted(self._samples)
+        return _exact_percentile(ordered, q)
 
     def count_over(self, threshold: float) -> int:
-        """How many retained samples exceed ``threshold`` (requires
-        ``retain=True`` — streaming estimators can't answer this)."""
-        if self._samples is None:
-            raise ValueError(
-                "count_over requires retained samples (retain=True)"
-            )
+        """How many samples exceed ``threshold``."""
         return sum(1 for x in self._samples if x > threshold)
 
-    def streaming_estimate(self, q: float) -> float:
-        """The P² estimate regardless of retention (for comparison)."""
-        if q not in self._estimators:
-            raise KeyError(f"quantile {q} not tracked")
-        return self._estimators[q].value
-
     def summary(self) -> Dict[str, float]:
-        """Mean + tracked percentiles, for reports."""
+        """Count, mean, max and the :data:`DEFAULT_QUANTILES`, for reports."""
         out = {"count": float(self.count), "mean": self.mean(),
                "max": self.max}
-        for q in self.quantiles:
+        for q in DEFAULT_QUANTILES:
             out[f"p{round(q * 100)}"] = self.percentile(q)
         return out
 
@@ -357,8 +311,7 @@ class ServeResult:
         Each sample holds until the next one (last-value-carried-forward,
         with the final sample extended to ``elapsed``), so irregular
         sampling periods — e.g. a sampler perturbed by bursty arrivals —
-        don't bias the mean toward densely-sampled intervals. The old
-        unweighted average remains as :meth:`mean_sampled_queue_depth`.
+        don't bias the mean toward densely-sampled intervals.
         """
         if not self.timeline:
             return 0.0
@@ -366,12 +319,6 @@ class ServeResult:
             [(s.time, float(s.total_queued)) for s in self.timeline],
             end=self.elapsed,
         )
-
-    def mean_sampled_queue_depth(self) -> float:
-        """Unweighted mean over samples (biased under uneven spacing)."""
-        if not self.timeline:
-            return 0.0
-        return sum(s.total_queued for s in self.timeline) / len(self.timeline)
 
     def to_dict(self) -> Dict[str, object]:
         """Deterministic summary (stable key order, raw floats)."""

@@ -14,12 +14,10 @@ from .engine import (
 from .resources import PriorityResource, Request, Resource, Server, Store
 from .tracing import (
     FaultRecord,
-    Interval,
     PhaseAccumulator,
     Trace,
     exact_percentile,
     geometric_mean,
-    summarize_latencies,
 )
 
 __all__ = [
@@ -38,10 +36,8 @@ __all__ = [
     "Resource",
     "Server",
     "Store",
-    "Interval",
     "PhaseAccumulator",
     "Trace",
     "exact_percentile",
     "geometric_mean",
-    "summarize_latencies",
 ]

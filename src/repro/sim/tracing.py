@@ -1,41 +1,24 @@
-"""Lightweight tracing/metrics for simulation runs.
+"""Lightweight accounting for simulation runs.
 
-The DMX experiments need three aggregates per run: per-request latency
-broken into phases (kernel / restructuring / movement), per-resource busy
-time, and per-device energy integrals. :class:`Trace` collects interval
-records; :class:`PhaseAccumulator` sums phase durations; both are cheap
-enough to leave always-on.
+The DMX experiments need per-request latency broken into phases
+(kernel / restructuring / movement) and a record of what the fault
+layer did. :class:`PhaseAccumulator` sums phase durations; :class:`Trace`
+collects :class:`FaultRecord` point events; both are cheap enough to
+leave always-on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional
 
 __all__ = [
-    "Interval",
     "FaultRecord",
     "Trace",
     "PhaseAccumulator",
     "exact_percentile",
-    "summarize_latencies",
 ]
-
-
-@dataclass(frozen=True)
-class Interval:
-    """One traced span of simulated time."""
-
-    start: float
-    end: float
-    actor: str
-    phase: str
-    request_id: int = -1
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 @dataclass(frozen=True)
@@ -58,63 +41,22 @@ class FaultRecord:
 
 
 class Trace:
-    """Append-only list of :class:`Interval` with simple queries.
-
-    Besides timing intervals, a trace carries a parallel stream of
-    :class:`FaultRecord` point events so injected faults, retries, and
-    fallbacks show up alongside the spans they perturbed.
+    """Append-only stream of :class:`FaultRecord` point events, so
+    injected faults, retries, and fallbacks can be queried after a run.
     """
 
     def __init__(
         self,
         note_listener: Optional[Callable[[FaultRecord], None]] = None,
     ) -> None:
-        self.intervals: List[Interval] = []
         self.events: List[FaultRecord] = []
-        # Request-id indexes: the report CLI asks for one request's
-        # intervals/faults at a time, which would otherwise be an O(n)
-        # scan per request (O(n^2) across a large serving run).
-        self._intervals_by_request: Dict[int, List[Interval]] = {}
+        # Request-id index: the report CLI asks for one request's faults
+        # at a time, which would otherwise be an O(n) scan per request
+        # (O(n^2) across a large serving run).
         self._events_by_request: Dict[int, List[FaultRecord]] = {}
         # Optional mirror: every fault note is forwarded (the telemetry
         # layer subscribes to surface fault events as instants).
         self._note_listener = note_listener
-
-    def record(
-        self,
-        start: float,
-        end: float,
-        actor: str,
-        phase: str,
-        request_id: int = -1,
-    ) -> None:
-        if end < start:
-            raise ValueError(f"interval ends before it starts: {start}..{end}")
-        interval = Interval(start, end, actor, phase, request_id)
-        self.intervals.append(interval)
-        self._intervals_by_request.setdefault(request_id, []).append(interval)
-
-    def total(self, phase: Optional[str] = None, actor: Optional[str] = None) -> float:
-        """Summed duration of intervals matching the filters."""
-        return sum(
-            iv.duration
-            for iv in self.intervals
-            if (phase is None or iv.phase == phase)
-            and (actor is None or iv.actor == actor)
-        )
-
-    def phases(self) -> Dict[str, float]:
-        """Total duration keyed by phase name."""
-        out: Dict[str, float] = {}
-        for iv in self.intervals:
-            out[iv.phase] = out.get(iv.phase, 0.0) + iv.duration
-        return out
-
-    def for_request(self, request_id: int) -> List[Interval]:
-        """Intervals recorded against one request (indexed lookup)."""
-        return list(self._intervals_by_request.get(request_id, ()))
-
-    # -- fault/recovery event stream ----------------------------------------
 
     def note(
         self,
@@ -197,10 +139,13 @@ class PhaseAccumulator:
 def exact_percentile(ordered: List[float], q: float) -> float:
     """Linear-interpolated percentile of a pre-sorted sample.
 
-    The single quantile implementation shared by the batch summaries
-    here and the serving-side :class:`~repro.serve.slo.LatencyTracker`,
-    so both report identical values for identical samples.
+    The single quantile implementation shared by the serving-side
+    :class:`~repro.serve.slo.LatencyTracker`, the windowed p99 sensors
+    and the telemetry rollups, so all report identical values for
+    identical samples.
     """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q}")
     n = len(ordered)
     if n == 0:
         raise ValueError("percentile of an empty sample")
@@ -213,23 +158,6 @@ def exact_percentile(ordered: List[float], q: float) -> float:
         return ordered[low]
     frac = rank - low
     return ordered[low] * (1 - frac) + ordered[high] * frac
-
-
-def summarize_latencies(latencies: List[float]) -> Dict[str, float]:
-    """Mean / p50 / p95 / p99 / min / max summary of a latency sample."""
-    if not latencies:
-        raise ValueError("no latencies to summarize")
-    ordered = sorted(latencies)
-    n = len(ordered)
-    return {
-        "mean": sum(ordered) / n,
-        "p50": exact_percentile(ordered, 0.50),
-        "p95": exact_percentile(ordered, 0.95),
-        "p99": exact_percentile(ordered, 0.99),
-        "min": ordered[0],
-        "max": ordered[-1],
-        "count": float(n),
-    }
 
 
 def geometric_mean(values: Iterable[float]) -> float:

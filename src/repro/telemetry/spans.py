@@ -1,8 +1,7 @@
 """Causal span model: hierarchical, request-linked timing spans.
 
-Where :class:`~repro.sim.tracing.Trace` keeps a *flat* list of
-intervals, the telemetry layer records **spans** — timed regions with a
-parent span, a request id, and an attribute bag — so a run can be
+The telemetry layer records **spans** — timed regions with a parent
+span, a request id, and an attribute bag — so a run can be
 reconstructed as one tree per request (request → chain stage →
 dma/drx/kernel/notify leaves) and rendered as a waterfall or exported to
 Perfetto.

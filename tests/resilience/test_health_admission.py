@@ -72,14 +72,6 @@ def test_monitor_publishes_metrics_into_telemetry():
     assert hist.count == 1 and hist.sum == pytest.approx(2e-3)
 
 
-def test_disabled_telemetry_keeps_monitor_functional():
-    sim = Simulator()
-    telemetry = Telemetry(sim, enabled=False)
-    monitor = HealthMonitor(telemetry)
-    monitor.record("drx.s0", False)
-    assert monitor.health("drx.s0") == 0.0
-
-
 # -- token bucket --------------------------------------------------------------
 
 

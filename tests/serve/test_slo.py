@@ -1,4 +1,4 @@
-"""Streaming percentile estimators and SLO accounting units."""
+"""Percentile estimators and SLO accounting units."""
 
 import random
 
@@ -51,31 +51,8 @@ def test_tracker_exact_percentiles_when_retained():
     assert tracker.percentile(0.99) == pytest.approx(99.01)
     assert tracker.mean() == pytest.approx(50.5)
     assert tracker.max == 100.0
-    # Arbitrary quantiles work in retained mode.
+    # Any quantile is answered exactly, not just the summary's.
     assert tracker.percentile(0.25) == pytest.approx(25.75)
-
-
-def test_tracker_streaming_mode_bounds_memory():
-    tracker = LatencyTracker(retain=False)
-    rng = random.Random(2)
-    for _ in range(10000):
-        tracker.add(rng.expovariate(1.0))
-    assert tracker._samples is None
-    # Tracked quantiles answer from P2; untracked ones raise.
-    assert tracker.percentile(0.5) > 0
-    with pytest.raises(KeyError):
-        tracker.percentile(0.25)
-
-
-def test_tracker_streaming_estimate_close_to_exact():
-    tracker = LatencyTracker()
-    rng = random.Random(3)
-    for _ in range(20000):
-        tracker.add(rng.expovariate(1.0))
-    for q in (0.5, 0.95, 0.99):
-        assert tracker.streaming_estimate(q) == pytest.approx(
-            tracker.percentile(q), rel=0.15
-        )
 
 
 def test_tracker_summary_and_errors():
@@ -90,6 +67,82 @@ def test_tracker_summary_and_errors():
     summary = tracker.summary()
     assert summary["count"] == 1.0
     assert summary["p99"] == 2.0
+
+
+@pytest.mark.parametrize("q", [-0.5, 1.5, float("nan")])
+def test_percentile_rejects_quantiles_outside_unit_interval(q):
+    from repro.serve.slo import ServeResult
+    from repro.sim import exact_percentile
+
+    with pytest.raises(ValueError, match="quantile"):
+        exact_percentile([1.0, 2.0, 3.0], q)
+    tracker = LatencyTracker()
+    for x in (1.0, 2.0, 3.0):
+        tracker.add(x)
+    with pytest.raises(ValueError, match="quantile"):
+        tracker.percentile(q)
+    result = ServeResult(tenants={}, latency=tracker, timeline=[],
+                         elapsed=1.0)
+    with pytest.raises(ValueError, match="quantile"):
+        result.percentile(q)
+    # The closed interval's endpoints stay valid: min and max.
+    assert tracker.percentile(0.0) == 1.0
+    assert tracker.percentile(1.0) == 3.0
+
+
+def test_armed_serving_run_never_feeds_the_streaming_estimator(monkeypatch):
+    """Serving latency accounting is exact-only: an armed run (breakers,
+    brownout, controller, batching) completes with the P² estimator
+    rigged to fail on any sample."""
+    from repro.control import ControllerConfig
+    from repro.core import DMXSystem, Mode, SystemConfig
+    from repro.resilience import ResilienceConfig
+    from repro.resilience.brownout import BrownoutConfig
+    from repro.serve import (
+        BatchingConfig,
+        Discipline,
+        FrontendConfig,
+        PoissonArrivals,
+        ServingFrontend,
+        TenantSpec,
+    )
+    from repro.workloads import build_benchmark_chains
+
+    def refuse(self, x):
+        raise AssertionError("P2Quantile.add reached from a serving run")
+
+    monkeypatch.setattr(P2Quantile, "add", refuse)
+    chains = build_benchmark_chains("sound-detection", 4)
+    system = DMXSystem(
+        chains,
+        SystemConfig(mode=Mode.STANDALONE),
+        resilience=ResilienceConfig(seed=7),
+    )
+    tenants = [
+        TenantSpec(
+            name=chain.name,
+            arrivals=PoissonArrivals(700.0),
+            n_requests=10,
+            priority=i % 2,
+        )
+        for i, chain in enumerate(chains)
+    ]
+    result = ServingFrontend(
+        system,
+        tenants,
+        FrontendConfig(
+            max_inflight=6,
+            discipline=Discipline.WRR,
+            slo_s=20e-3,
+            brownout=BrownoutConfig(min_dwell_s=4e-3),
+            controller=ControllerConfig(standby_cards=1),
+            batching=BatchingConfig(max_batch=4, window_s=1e-3),
+        ),
+        seed=3,
+    ).run()
+    assert result.completed == result.admitted > 0
+    assert result.latency.count == result.completed
+    assert result.to_dict()["latency"]["p99"] == result.percentile(0.99)
 
 
 def test_tenant_stats_goodput_excludes_failures_and_violations():
@@ -121,7 +174,6 @@ def test_mean_queue_depth_is_time_weighted_under_uneven_spacing():
         [(0.0, 10), (0.5, 10), (1.0, 0), (10.0, 0)], elapsed=10.0
     )
     assert result.mean_queue_depth() == pytest.approx(1.0)
-    assert result.mean_sampled_queue_depth() == pytest.approx(5.0)
 
 
 def test_mean_queue_depth_extends_last_sample_to_elapsed():

@@ -2,35 +2,16 @@
 
 import pytest
 
-from repro.sim import (
-    Interval,
-    PhaseAccumulator,
-    Trace,
-    geometric_mean,
-    summarize_latencies,
-)
+from repro.serve.slo import LatencyTracker
+from repro.sim import PhaseAccumulator, Trace, geometric_mean
 
 
-def test_interval_duration():
-    assert Interval(1.0, 3.5, "cpu", "restructure").duration == 2.5
-
-
-def test_trace_rejects_backwards_interval():
-    trace = Trace()
-    with pytest.raises(ValueError):
-        trace.record(5.0, 4.0, "cpu", "x")
-
-
-def test_trace_totals_and_filters():
-    trace = Trace()
-    trace.record(0.0, 1.0, "cpu", "restructure", request_id=1)
-    trace.record(1.0, 3.0, "accel", "kernel", request_id=1)
-    trace.record(3.0, 4.0, "cpu", "restructure", request_id=2)
-    assert trace.total() == pytest.approx(4.0)
-    assert trace.total(phase="restructure") == pytest.approx(2.0)
-    assert trace.total(actor="accel") == pytest.approx(2.0)
-    assert trace.phases() == {"restructure": 2.0, "kernel": 2.0}
-    assert len(trace.for_request(1)) == 2
+def _summary(latencies):
+    """The one latency summary: :meth:`LatencyTracker.summary`."""
+    tracker = LatencyTracker()
+    for x in latencies:
+        tracker.add(x)
+    return tracker.summary()
 
 
 def test_phase_accumulator_fractions():
@@ -63,17 +44,17 @@ def test_empty_fractions():
 
 
 def test_summarize_latencies():
-    summary = summarize_latencies([1.0, 2.0, 3.0, 4.0])
+    summary = _summary([1.0, 2.0, 3.0, 4.0])
     assert summary["mean"] == pytest.approx(2.5)
     assert summary["p50"] == pytest.approx(2.5)
-    assert summary["min"] == 1.0 and summary["max"] == 4.0
+    assert summary["max"] == 4.0
     assert summary["count"] == 4
     with pytest.raises(ValueError):
-        summarize_latencies([])
+        _summary([])
 
 
 def test_summarize_single_sample():
-    summary = summarize_latencies([7.0])
+    summary = _summary([7.0])
     assert summary["p99"] == 7.0
 
 
@@ -88,7 +69,7 @@ def test_geometric_mean():
 
 def test_summarize_latencies_includes_p95():
     latencies = [float(i) for i in range(1, 101)]
-    summary = summarize_latencies(latencies)
+    summary = _summary(latencies)
     assert summary["p95"] == pytest.approx(95.05)
     assert summary["p99"] == pytest.approx(99.01)
 
@@ -103,9 +84,8 @@ def test_exact_percentile_shared_helper():
 
 
 def test_exact_percentile_matches_serving_tracker():
-    # Satellite: one shared quantile implementation — the batch summary
-    # and the serving-side LatencyTracker agree on identical samples.
-    from repro.serve.slo import LatencyTracker
+    # One shared quantile implementation — the helper and the
+    # serving-side LatencyTracker agree on identical samples.
     from repro.sim import exact_percentile
 
     samples = [0.7, 0.1, 0.4, 0.9, 0.2, 0.5]
@@ -114,19 +94,6 @@ def test_exact_percentile_matches_serving_tracker():
         tracker.add(x)
     for q in (0.5, 0.95, 0.99):
         assert tracker.percentile(q) == exact_percentile(sorted(samples), q)
-
-
-def test_trace_for_request_indexed_lookup():
-    trace = Trace()
-    for rid in (0, 1, 0, 2, 1, 0):
-        trace.record(0.0, 1.0, "a", "p", request_id=rid)
-    assert len(trace.for_request(0)) == 3
-    assert len(trace.for_request(1)) == 2
-    assert trace.for_request(99) == []
-    # The index mirrors a linear scan exactly.
-    assert trace.for_request(2) == [
-        iv for iv in trace.intervals if iv.request_id == 2
-    ]
 
 
 def test_trace_faults_indexed_by_request():

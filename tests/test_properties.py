@@ -36,7 +36,8 @@ from repro.restructuring import (
     RowsToColumnar,
     fnv1a32,
 )
-from repro.sim import Simulator, Resource
+from repro.serve import LatencyTracker
+from repro.sim import Simulator, Resource, exact_percentile
 
 
 # -- crypto ------------------------------------------------------------------
@@ -319,3 +320,29 @@ def test_des_parallel_capacity_lower_bounds(capacity, durations):
     sim.run()
     assert sim.now >= max(durations) - 1e-12
     assert sim.now >= sum(durations) / capacity - 1e-9
+
+
+# -- serving latency accounting -------------------------------------------------
+
+
+@given(st.lists(
+    st.one_of(
+        st.tuples(st.just("add"),
+                  st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False)),
+        st.tuples(st.just("percentile"), st.floats(0.0, 1.0)),
+    ),
+    min_size=1, max_size=60,
+))
+@settings(max_examples=100, deadline=None)
+def test_tracker_percentile_equals_exact_percentile_of_samples(ops):
+    """Whatever interleaving of adds and queries, a query answers from
+    every sample added so far: the cached sorted view never goes stale."""
+    tracker = LatencyTracker()
+    samples = []
+    for op, value in ops:
+        if op == "add":
+            tracker.add(value)
+            samples.append(value)
+        elif samples:
+            expected = exact_percentile(sorted(samples), value)
+            assert tracker.percentile(value).hex() == expected.hex()
