@@ -33,7 +33,7 @@ so every threshold below is exact, not statistical.
 import pytest
 
 from repro.control import ControllerConfig
-from repro.core import DMXSystem, Mode, SystemConfig
+from repro.core import Mode, SystemConfig
 from repro.faults import CrashPlan, DomainCrash
 from repro.resilience import ResilienceConfig
 from repro.resilience.brownout import BrownoutConfig
@@ -42,13 +42,13 @@ from repro.serve import (
     FrontendConfig,
     PoissonArrivals,
     RampArrivals,
-    ServingFrontend,
+    Scenario,
     SweepConfig,
     TenantSpec,
     calibrate_peak_rps,
+    run_scenario,
 )
 from repro.telemetry.alerts import ObservationConfig
-from repro.workloads import build_benchmark_chains
 
 N_TENANTS = 4
 REQUESTS = 120
@@ -86,33 +86,30 @@ def _ramp_run(peak, *, controller=None, brownout=None, weights=None,
               kill=None):
     quiet = 0.30 * peak / N_TENANTS
     hot = 1.15 * peak / N_TENANTS
-    chains = build_benchmark_chains("sound-detection", N_TENANTS)
-    system = DMXSystem(
-        chains, SystemConfig(mode=Mode.STANDALONE),
+    result, frontend = run_scenario(Scenario(
+        tenants=tuple(
+            TenantSpec(
+                name="",
+                arrivals=RampArrivals(
+                    segments=((LEG_S, quiet), (LEG_S, hot))
+                ),
+                n_requests=REQUESTS,
+                weight=(weights[i] if weights else 1),
+                priority=i % 2,
+            )
+            for i in range(N_TENANTS)
+        ),
+        n_tenants=N_TENANTS,
+        system=SystemConfig(mode=Mode.STANDALONE),
         resilience=ResilienceConfig(seed=7),
-    )
-    if kill is not None:
-        system.control.mark_dead(kill)
-    tenants = [
-        TenantSpec(
-            name=chain.name,
-            arrivals=RampArrivals(segments=((LEG_S, quiet), (LEG_S, hot))),
-            n_requests=REQUESTS,
-            weight=(weights[i] if weights else 1),
-            priority=i % 2,
-        )
-        for i, chain in enumerate(chains)
-    ]
-    frontend = ServingFrontend(
-        system, tenants,
-        FrontendConfig(
+        dead_targets=(kill,) if kill is not None else (),
+        frontend=FrontendConfig(
             max_inflight=6, discipline=Discipline.WRR, slo_s=SLO_S,
             brownout=brownout, controller=controller,
             observation=ObservationConfig(alerts=None),
         ),
         seed=3,
-    )
-    result = frontend.run()
+    ))
     return result, frontend.controller_actions
 
 
@@ -200,32 +197,28 @@ def test_static_baseline_violates_in_the_settled_region(
 
 def _kill_run(peak, crashes):
     offered = 0.4 * peak
-    chains = build_benchmark_chains("sound-detection", N_TENANTS)
-    system = DMXSystem(
-        chains, SystemConfig(mode=Mode.STANDALONE),
+    result, frontend = run_scenario(Scenario(
+        tenants=tuple(
+            TenantSpec(
+                name="",
+                arrivals=PoissonArrivals(offered / N_TENANTS),
+                n_requests=48,
+                priority=i % 2,
+            )
+            for i in range(N_TENANTS)
+        ),
+        n_tenants=N_TENANTS,
+        system=SystemConfig(mode=Mode.STANDALONE),
         resilience=ResilienceConfig(seed=7),
         domains=CrashPlan(crashes=crashes),
-    )
-    tenants = [
-        TenantSpec(
-            name=chain.name,
-            arrivals=PoissonArrivals(offered / N_TENANTS),
-            n_requests=48,
-            priority=i % 2,
-        )
-        for i, chain in enumerate(chains)
-    ]
-    frontend = ServingFrontend(
-        system, tenants,
-        FrontendConfig(
+        frontend=FrontendConfig(
             max_inflight=6, discipline=Discipline.WRR, slo_s=50e-3,
             brownout=BrownoutConfig(min_dwell_s=4e-3),
             controller=_controller(standby_cards=0),
             observation=ObservationConfig(alerts=None),
         ),
         seed=3,
-    )
-    result = frontend.run()
+    ))
     return result, frontend.controller_actions
 
 

@@ -187,38 +187,29 @@ def test_revived_card_serves_again(revived, timeline):
 
 
 def test_armed_crash_free_run_is_byte_identical(tmp_path):
-    from repro.core import DMXSystem, SystemConfig
-    from repro.serve import (
-        FrontendConfig,
-        PoissonArrivals,
-        ServingFrontend,
-        TenantSpec,
-    )
-    from repro.telemetry import write_artifact
-    from repro.workloads import build_benchmark_chains
+    from repro.core import SystemConfig
+    from repro.serve import FrontendConfig, Scenario, run_scenario
 
-    def run(domains):
-        chains = build_benchmark_chains("sound-detection", N_TENANTS)
-        system = DMXSystem(
-            chains, SystemConfig(mode=Mode.STANDALONE), domains=domains
+    def run(domains, path):
+        run_scenario(
+            Scenario(
+                offered_rps=500.0 * N_TENANTS,
+                requests_per_tenant=8,
+                n_tenants=N_TENANTS,
+                system=SystemConfig(mode=Mode.STANDALONE),
+                domains=domains,
+                frontend=FrontendConfig(max_inflight=8, slo_s=50e-3),
+            ),
+            path,
+            meta={"k": "identity"},
         )
-        tenants = [
-            TenantSpec(name=c.name, arrivals=PoissonArrivals(500.0),
-                       n_requests=8)
-            for c in chains
-        ]
-        return ServingFrontend(
-            system, tenants, FrontendConfig(max_inflight=8, slo_s=50e-3),
-            seed=0,
-        ).run()
+        with open(path, "rb") as fh:
+            return fh.read()
 
-    unarmed = run(None)
-    armed = run(CrashPlan())  # a crash-free plan arms nothing at all
-    a = str(tmp_path / "unarmed.jsonl")
-    b = str(tmp_path / "armed.jsonl")
-    write_artifact(a, unarmed.telemetry, meta={"k": "identity"})
-    write_artifact(b, armed.telemetry, meta={"k": "identity"})
-    assert open(a, "rb").read() == open(b, "rb").read()
+    unarmed = run(None, str(tmp_path / "unarmed.jsonl"))
+    # A crash-free plan arms nothing at all.
+    armed = run(CrashPlan(), str(tmp_path / "armed.jsonl"))
+    assert armed == unarmed
 
 
 # -- (e) the checker signs off — and catches cooked books ----------------------

@@ -27,20 +27,20 @@ Usage::
 import sys
 
 from repro.control import ControllerConfig
-from repro.core import DMXSystem, Mode, SystemConfig
+from repro.core import Mode, SystemConfig
 from repro.resilience import ResilienceConfig
 from repro.resilience.brownout import BrownoutConfig
 from repro.serve import (
     Discipline,
     FrontendConfig,
     RampArrivals,
-    ServingFrontend,
+    Scenario,
     SweepConfig,
     TenantSpec,
     calibrate_peak_rps,
+    run_scenario,
 )
 from repro.telemetry.alerts import ObservationConfig
-from repro.workloads import build_benchmark_chains
 
 N_TENANTS = 4
 SLO_S = 30e-3
@@ -67,26 +67,23 @@ def main() -> int:
     print(f"ramp: {quiet:.0f} rps for 50 ms, then {hot:.0f} rps "
           f"({hot / peak:.0%} of peak) — SLO p99 <= {SLO_S * 1e3:.0f} ms")
 
-    chains = build_benchmark_chains("sound-detection", N_TENANTS)
-    system = DMXSystem(
-        chains, SystemConfig(mode=Mode.STANDALONE),
+    result, frontend = run_scenario(Scenario(
+        tenants=tuple(
+            TenantSpec(
+                name="",
+                arrivals=RampArrivals(
+                    segments=((0.05, quiet / N_TENANTS),
+                              (0.05, hot / N_TENANTS)),
+                ),
+                n_requests=120,
+                priority=i % 2,
+            )
+            for i in range(N_TENANTS)
+        ),
+        n_tenants=N_TENANTS,
+        system=SystemConfig(mode=Mode.STANDALONE),
         resilience=ResilienceConfig(seed=7),
-    )
-    tenants = [
-        TenantSpec(
-            name=chain.name,
-            arrivals=RampArrivals(
-                segments=((0.05, quiet / N_TENANTS),
-                          (0.05, hot / N_TENANTS)),
-            ),
-            n_requests=120,
-            priority=i % 2,
-        )
-        for i, chain in enumerate(chains)
-    ]
-    frontend = ServingFrontend(
-        system, tenants,
-        FrontendConfig(
+        frontend=FrontendConfig(
             max_inflight=6, discipline=Discipline.WRR, slo_s=SLO_S,
             brownout=BrownoutConfig(min_dwell_s=4e-3),
             controller=ControllerConfig(
@@ -95,8 +92,7 @@ def main() -> int:
             observation=ObservationConfig(alerts=None),
         ),
         seed=3,
-    )
-    result = frontend.run()
+    ))
 
     print("\ncontroller decisions:")
     for at, kind, detail in frontend.controller_actions:

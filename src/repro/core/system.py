@@ -36,9 +36,7 @@ from ..faults.recovery import shielded
 from ..interconnect import DMACosts, DMAEngine, Fabric, LinkConfig, PCIeGen
 from ..resilience.control import ControlPlane, ResilienceConfig
 from ..runtime.driver import NotificationModel
-from ..sim import AllOf, AnyOf, PhaseAccumulator, Simulator, Trace, \
-    WaitTimeout
-from ..sim.tracing import FaultRecord
+from ..sim import AllOf, AnyOf, PhaseAccumulator, Simulator, WaitTimeout
 from ..telemetry import ActiveSpan, SpanContext, Telemetry
 from .chain import AppChain, KernelStage, MotionStage
 from .placement import Mode, SystemConfig, drx_config_for
@@ -356,19 +354,16 @@ class DMXSystem:
         self._metrics_recorded = False
         self._faults = faults
         self._request_ids = itertools.count()
-        if faults is not None:
-            self.fault_trace: Optional[Trace] = Trace(
-                note_listener=self._fault_instant
-            )
-            self.injector: Optional[FaultInjector] = FaultInjector(
+        self.injector: Optional[FaultInjector] = (
+            FaultInjector(
                 self.sim,
                 seed=faults.seed,
                 policies=faults.site_policies(),
-                trace=self.fault_trace,
+                telemetry=self.telemetry,
             )
-        else:
-            self.fault_trace = None
-            self.injector = None
+            if faults is not None
+            else None
+        )
         self.control: Optional[ControlPlane] = (
             ControlPlane(self.sim, self.telemetry, resilience)
             if resilience is not None
@@ -546,13 +541,6 @@ class DMXSystem:
 
     # -- recovery-plane plumbing ---------------------------------------------
 
-    def _fault_instant(self, ev: FaultRecord) -> None:
-        """Mirror one fault-trace note into the telemetry instant stream."""
-        self.telemetry.instant(
-            ev.kind, "fault", actor=ev.actor, request_id=ev.request_id,
-            time=ev.time, site=ev.site, detail=ev.detail,
-        )
-
     def _note(
         self,
         kind: str,
@@ -561,17 +549,19 @@ class DMXSystem:
         request_id: int = -1,
         detail: str = "",
     ) -> None:
-        if self.fault_trace is not None:
-            self.fault_trace.note(
-                self.sim.now, actor, kind,
-                site=site, request_id=request_id, detail=detail,
+        """One recovery-plane event as a ``"fault"`` instant (only when
+        a fault plan is armed)."""
+        if self._faults is not None:
+            self.telemetry.instant(
+                kind, "fault", actor=actor, request_id=request_id,
+                site=site, detail=detail,
             )
 
     def _retry_cb(
         self, state: Optional[_RequestState], site: str, actor: str
     ) -> Optional[Callable[[int, BaseException, bool], None]]:
         """Per-operation failed-attempt observer: per-request retry count
-        plus a trace record. None in fault-free runs (fast path)."""
+        plus a fault instant. None in fault-free runs (fast path)."""
         if self._faults is None:
             return None
 

@@ -23,10 +23,12 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, Optional, Tuple
 
 from ..sim import Event, Simulator
-from ..sim.tracing import Trace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..telemetry.runtime import Telemetry
 
 __all__ = ["FaultKind", "FaultPolicy", "InjectedFault", "FaultInjector"]
 
@@ -96,9 +98,9 @@ class FaultInjector:
     policies:
         Mapping of site name → :class:`FaultPolicy`. Sites without an
         entry are never perturbed.
-    trace:
-        Optional :class:`~repro.sim.tracing.Trace`; every injected fault
-        is recorded as a ``FaultRecord`` with kind ``inject:<flavour>``.
+    telemetry:
+        Optional run telemetry; every injected fault lands in it as a
+        ``"fault"``-category instant named ``inject:<flavour>``.
     """
 
     def __init__(
@@ -106,13 +108,13 @@ class FaultInjector:
         sim: Simulator,
         seed: int = 0,
         policies: Optional[Dict[str, FaultPolicy]] = None,
-        trace: Optional[Trace] = None,
+        telemetry: Optional["Telemetry"] = None,
     ):
         self.sim = sim
         self.seed = seed
         self._rng = random.Random(seed)
         self.policies: Dict[str, FaultPolicy] = dict(policies or {})
-        self.trace = trace
+        self.telemetry = telemetry
         self.injected: Dict[Tuple[str, FaultKind], int] = {}
 
     def policy_for(self, site: str) -> FaultPolicy:
@@ -157,13 +159,12 @@ class FaultInjector:
     ) -> None:
         key = (site, kind)
         self.injected[key] = self.injected.get(key, 0) + 1
-        if self.trace is not None:
-            self.trace.note(
-                self.sim.now,
-                actor or site,
-                f"inject:{kind.value}",
-                site=site,
-                request_id=request_id,
+        if self.telemetry is not None:
+            # Same attrs as DMXSystem's own fault instants (``detail``
+            # included), so artifact rows keep one shape.
+            self.telemetry.instant(
+                f"inject:{kind.value}", "fault", actor=actor or site,
+                request_id=request_id, site=site, detail="",
             )
 
     def interpose(

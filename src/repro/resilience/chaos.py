@@ -30,17 +30,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.chain import AppChain
 from ..core.placement import Mode, SystemConfig
-from ..core.system import DMXSystem
 from ..faults import FaultPlan
 from ..faults.injector import FaultPolicy
-from ..serve.arrivals import make_arrivals
-from ..serve.frontend import (
-    Discipline,
-    FrontendConfig,
-    ServingFrontend,
-    ShedPolicy,
-    TenantSpec,
-)
+from ..serve.frontend import Discipline, FrontendConfig, ShedPolicy
+from ..serve.scenario import Scenario, run_scenario
 from ..serve.slo import ServeResult
 from .brownout import BrownoutConfig
 from .control import ResilienceConfig
@@ -144,21 +137,39 @@ class ChaosSweepConfig:
             raise ValueError("fault intensities must be >= 0")
         if not self.control_plane:
             raise ValueError("need at least one control-plane arm")
-        if self.n_tenants <= 0:
-            raise ValueError("n_tenants must be positive")
-        if self.requests_per_tenant <= 0:
-            raise ValueError("requests_per_tenant must be positive")
-        if self.slo_s <= 0:
-            raise ValueError("slo_s must be positive")
         if not 0.0 < self.goodput_floor <= 1.0:
             raise ValueError("goodput_floor must be in (0, 1]")
+        self.scenario(0, self.control_plane[-1], 0)  # checks cell inputs
 
-    def build_chains(self) -> List[AppChain]:
-        if self.chain_factory is not None:
-            return self.chain_factory()
-        from ..workloads import build_benchmark_chains
-
-        return build_benchmark_chains(self.benchmark, self.n_tenants)
+    def scenario(
+        self, intensity_index: int, resilient: bool, load_index: int
+    ) -> Scenario:
+        """One (intensity, arm, load) cell as one serving run: the base
+        plan scaled to the intensity, and on the resilient arm the
+        breakers (plus the brownout ladder, when configured)."""
+        return Scenario(
+            offered_rps=self.offered_loads_rps[load_index],
+            arrival_kind=self.arrival_kind,
+            requests_per_tenant=self.requests_per_tenant,
+            queue_capacity=self.queue_capacity,
+            benchmark=self.benchmark,
+            n_tenants=self.n_tenants,
+            chain_factory=self.chain_factory,
+            system=SystemConfig(mode=self.mode),
+            faults=scale_plan(
+                self.base_plan, self.fault_intensities[intensity_index]
+            ),
+            resilience=self.resilience if resilient else None,
+            frontend=FrontendConfig(
+                max_inflight=self.max_inflight,
+                shed=ShedPolicy.QUEUE,
+                discipline=self.discipline,
+                slo_s=self.slo_s,
+                sample_period_s=self.sample_period_s,
+                brownout=self.brownout if resilient else None,
+            ),
+            seed=self.seed,
+        )
 
 
 @dataclass(frozen=True)
@@ -281,42 +292,6 @@ class ChaosSweepResult:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _run_cell(
-    config: ChaosSweepConfig, plan: FaultPlan, resilient: bool, load: float
-) -> ServeResult:
-    chains = config.build_chains()
-    system = DMXSystem(
-        chains,
-        SystemConfig(mode=config.mode),
-        faults=plan,
-        resilience=config.resilience if resilient else None,
-    )
-    per_tenant = load / len(chains)
-    tenants = [
-        TenantSpec(
-            name=chain.name,
-            arrivals=make_arrivals(config.arrival_kind, per_tenant),
-            n_requests=config.requests_per_tenant,
-            queue_capacity=config.queue_capacity,
-        )
-        for chain in chains
-    ]
-    frontend = ServingFrontend(
-        system,
-        tenants,
-        FrontendConfig(
-            max_inflight=config.max_inflight,
-            shed=ShedPolicy.QUEUE,
-            discipline=config.discipline,
-            slo_s=config.slo_s,
-            sample_period_s=config.sample_period_s,
-            brownout=config.brownout if resilient else None,
-        ),
-        seed=config.seed,
-    )
-    return frontend.run()
-
-
 def _point(
     resilient: bool, intensity: float, load: float, result: ServeResult
 ) -> ChaosPoint:
@@ -339,41 +314,6 @@ def _point(
     )
 
 
-def _write_cell_artifact(
-    config: ChaosSweepConfig,
-    resilient: bool,
-    intensity_index: int,
-    load_index: int,
-    intensity: float,
-    load: float,
-    result: ServeResult,
-) -> None:
-    from ..telemetry import write_artifact
-
-    os.makedirs(config.artifact_dir, exist_ok=True)
-    arm = "resilient" if resilient else "baseline"
-    path = os.path.join(
-        config.artifact_dir,
-        f"{arm}-i{intensity_index}-pt{load_index}.jsonl",
-    )
-    write_artifact(
-        path,
-        result.telemetry,
-        meta={
-            "control_plane": resilient,
-            "intensity": intensity,
-            "offered_rps": load,
-            "seed": config.seed,
-            "slo_s": config.slo_s,
-            "mode": config.mode.value,
-        },
-    )
-    if config.verify_artifacts:
-        from .invariants import verify_artifact_path
-
-        verify_artifact_path(path).raise_on_problems()
-
-
 def run_chaos_cell(
     config: ChaosSweepConfig,
     intensity_index: int,
@@ -388,15 +328,20 @@ def run_chaos_cell(
     to the same cell inside a full sweep.
     """
     intensity = config.fault_intensities[intensity_index]
-    load = config.offered_loads_rps[load_index]
-    plan = scale_plan(config.base_plan, intensity)
-    result = _run_cell(config, plan, resilient, load)
+    scenario = config.scenario(intensity_index, resilient, load_index)
+    artifact = None
     if config.artifact_dir is not None:
-        _write_cell_artifact(
-            config, resilient, intensity_index, load_index,
-            intensity, load, result,
+        arm = "resilient" if resilient else "baseline"
+        artifact = os.path.join(
+            config.artifact_dir,
+            f"{arm}-i{intensity_index}-pt{load_index}.jsonl",
         )
-    return _point(resilient, intensity, load, result)
+    result = run_scenario(
+        scenario, artifact,
+        meta={"control_plane": resilient, "intensity": intensity},
+        verify=config.verify_artifacts,
+    ).result
+    return _point(resilient, intensity, scenario.offered_rps, result)
 
 
 def run_chaos_sweep(config: ChaosSweepConfig) -> ChaosSweepResult:

@@ -42,7 +42,6 @@ conservation invariant checker run automatically on the artifact.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -51,15 +50,9 @@ from ..core.placement import Mode, SystemConfig
 from ..core.system import DMXSystem, RequestRecord
 from ..faults import FaultPlan
 from ..faults.domains import CrashPlan, DomainCrash
-from ..serve.arrivals import make_arrivals
 from ..serve.batching import BatchingConfig
-from ..serve.frontend import (
-    Discipline,
-    FrontendConfig,
-    ServingFrontend,
-    ShedPolicy,
-    TenantSpec,
-)
+from ..serve.frontend import Discipline, FrontendConfig, ShedPolicy
+from ..serve.scenario import Scenario, run_scenario
 from ..serve.slo import ServeResult
 from .control import ResilienceConfig
 
@@ -282,26 +275,36 @@ class RecoveryScenarioConfig:
     verify: bool = True
 
     def __post_init__(self) -> None:
-        if self.offered_rps <= 0:
-            raise ValueError("offered_rps must be positive")
-        if self.n_tenants <= 0:
-            raise ValueError("n_tenants must be positive")
-        if self.requests_per_tenant <= 0:
-            raise ValueError("requests_per_tenant must be positive")
+        self.scenario()  # checks the run's inputs
 
-    def build_chains(self) -> List[AppChain]:
-        if self.chain_factory is not None:
-            return self.chain_factory()
-        from ..workloads import build_benchmark_chains
-
-        return build_benchmark_chains(self.benchmark, self.n_tenants)
-
-    def crash_plan(self) -> CrashPlan:
-        return CrashPlan(
+    def scenario(self) -> Scenario:
+        """The whole experiment as one serving run with the crash plan
+        armed."""
+        return Scenario(
+            offered_rps=self.offered_rps,
+            arrival_kind=self.arrival_kind,
+            requests_per_tenant=self.requests_per_tenant,
+            queue_capacity=self.queue_capacity,
+            benchmark=self.benchmark,
+            n_tenants=self.n_tenants,
+            chain_factory=self.chain_factory,
+            system=SystemConfig(mode=self.mode),
+            faults=self.faults,
+            resilience=self.resilience,
+            domains=CrashPlan(
+                seed=self.seed,
+                crashes=self.crashes,
+                detect_after_failures=self.detect_after_failures,
+                rescue_deadline_s=self.rescue_deadline_s,
+            ),
+            frontend=FrontendConfig(
+                max_inflight=self.max_inflight,
+                shed=ShedPolicy.QUEUE,
+                discipline=self.discipline,
+                slo_s=self.slo_s,
+                batching=self.batching,
+            ),
             seed=self.seed,
-            crashes=self.crashes,
-            detect_after_failures=self.detect_after_failures,
-            rescue_deadline_s=self.rescue_deadline_s,
         )
 
 
@@ -339,72 +342,28 @@ def run_recovery_scenario(
     config: RecoveryScenarioConfig,
 ) -> RecoveryScenarioResult:
     """Run one crash-mid-run serving experiment end to end."""
-    chains = config.build_chains()
-    system = DMXSystem(
-        chains,
-        SystemConfig(mode=config.mode),
-        faults=config.faults,
-        resilience=config.resilience,
-        domains=config.crash_plan(),
+    serve, frontend = run_scenario(
+        config.scenario(),
+        config.artifact_path,
+        meta={
+            "crashes": [
+                {
+                    "target": c.target,
+                    "at_s": c.at_s,
+                    "revive_at_s": c.revive_at_s,
+                }
+                for c in config.crashes
+            ],
+        },
+        verify=config.verify,
     )
-    per_tenant = config.offered_rps / len(chains)
-    tenants = [
-        TenantSpec(
-            name=chain.name,
-            arrivals=make_arrivals(config.arrival_kind, per_tenant),
-            n_requests=config.requests_per_tenant,
-            queue_capacity=config.queue_capacity,
-        )
-        for chain in chains
-    ]
-    frontend = ServingFrontend(
-        system,
-        tenants,
-        FrontendConfig(
-            max_inflight=config.max_inflight,
-            shed=ShedPolicy.QUEUE,
-            discipline=config.discipline,
-            slo_s=config.slo_s,
-            batching=config.batching,
-        ),
-        seed=config.seed,
-    )
-    serve = frontend.run()
-    manager = system.domains
+    manager = frontend.system.domains
     summary = manager.summary() if manager is not None else {}
     detect = (
         {t: manager.detect_latency_s(t) for t in sorted(manager.crashed_at)}
         if manager is not None
         else {}
     )
-    if config.artifact_path is not None:
-        from ..telemetry import write_artifact
-
-        directory = os.path.dirname(config.artifact_path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        write_artifact(
-            config.artifact_path,
-            serve.telemetry,
-            meta={
-                "offered_rps": config.offered_rps,
-                "seed": config.seed,
-                "slo_s": config.slo_s,
-                "mode": config.mode.value,
-                "crashes": [
-                    {
-                        "target": c.target,
-                        "at_s": c.at_s,
-                        "revive_at_s": c.revive_at_s,
-                    }
-                    for c in config.crashes
-                ],
-            },
-        )
-        if config.verify:
-            from .invariants import verify_artifact_path
-
-            verify_artifact_path(config.artifact_path).raise_on_problems()
     return RecoveryScenarioResult(
         serve=serve,
         domains=summary,

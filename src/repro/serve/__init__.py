@@ -16,6 +16,9 @@ fixed request counts, this package models *sustained online traffic*:
 * :mod:`repro.serve.slo` — exact p50/p95/p99 latency percentiles,
   per-tenant goodput, shed/violation counts, queue-depth timelines on
   the sim clock;
+* :mod:`repro.serve.scenario` — one serving run as a frozen
+  :class:`Scenario` value and :func:`run_scenario`, the one runner
+  every harness (load, chaos and recovery sweeps) is a grid over;
 * :mod:`repro.serve.sweep` — latency-vs-offered-load knee curves per
   system :class:`~repro.core.placement.Mode`, optionally with a
   :class:`~repro.faults.FaultPlan` armed.
@@ -39,6 +42,7 @@ from .frontend import (
     ShedPolicy,
     TenantSpec,
 )
+from .scenario import Scenario, ScenarioRun, run_scenario
 from .slo import (
     DEFAULT_QUANTILES,
     LatencyTracker,
@@ -71,6 +75,9 @@ __all__ = [
     "TenantSpec",
     "FrontendConfig",
     "ServingFrontend",
+    "Scenario",
+    "ScenarioRun",
+    "run_scenario",
     "BatchingConfig",
     "BatchFormer",
     "FormingBatch",

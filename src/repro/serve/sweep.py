@@ -33,15 +33,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..backends.planner import PlannerConfig
     from ..telemetry.alerts import ObservationConfig
     from ..telemetry.sampling import SamplingConfig
-from .arrivals import make_arrivals
 from .batching import BatchingConfig
-from .frontend import (
-    Discipline,
-    FrontendConfig,
-    ServingFrontend,
-    ShedPolicy,
-    TenantSpec,
-)
+from .frontend import Discipline, FrontendConfig, ShedPolicy
+from .scenario import Scenario, run_scenario
 from .slo import ServeResult
 
 __all__ = ["SweepConfig", "SweepPoint", "SweepResult", "run_sweep",
@@ -106,21 +100,35 @@ class SweepConfig:
             raise ValueError("offered loads must be positive")
         if list(self.offered_loads_rps) != sorted(self.offered_loads_rps):
             raise ValueError("offered loads must be ascending")
-        if self.n_tenants <= 0:
-            raise ValueError("n_tenants must be positive")
-        if self.requests_per_tenant <= 0:
-            raise ValueError("requests_per_tenant must be positive")
-        if self.slo_s <= 0:
-            raise ValueError("slo_s must be positive")
         if not self.modes:
             raise ValueError("need at least one mode")
+        self.scenario(self.modes[0], 0)  # checks the per-point inputs
 
-    def build_chains(self) -> List[AppChain]:
-        if self.chain_factory is not None:
-            return self.chain_factory()
-        from ..workloads import build_benchmark_chains
-
-        return build_benchmark_chains(self.benchmark, self.n_tenants)
+    def scenario(self, mode: Mode, point_index: int) -> Scenario:
+        """The (mode, offered load) grid point as one serving run."""
+        base = self.system if self.system is not None else SystemConfig()
+        return Scenario(
+            offered_rps=self.offered_loads_rps[point_index],
+            arrival_kind=self.arrival_kind,
+            requests_per_tenant=self.requests_per_tenant,
+            queue_capacity=self.queue_capacity,
+            benchmark=self.benchmark,
+            n_tenants=self.n_tenants,
+            chain_factory=self.chain_factory,
+            system=replace(base, mode=mode),
+            faults=self.faults,
+            backends=self.backends,
+            frontend=FrontendConfig(
+                max_inflight=self.max_inflight,
+                shed=self.shed,
+                discipline=self.discipline,
+                slo_s=self.slo_s,
+                sample_period_s=self.sample_period_s,
+                batching=self.batching,
+                observation=self.observation,
+            ),
+            seed=self.seed,
+        )
 
 
 @dataclass(frozen=True)
@@ -244,45 +252,6 @@ def _point(mode: Mode, offered_rps: float, result: ServeResult) -> SweepPoint:
     )
 
 
-def _write_point_artifacts(
-    config: SweepConfig,
-    mode: Mode,
-    point_index: int,
-    load: float,
-    result: ServeResult,
-) -> None:
-    """One grid point's run artifact + Perfetto export on disk."""
-    from ..telemetry import plan_sampling, write_artifact, write_chrome_trace
-
-    os.makedirs(config.artifact_dir, exist_ok=True)
-    stem = os.path.join(
-        config.artifact_dir, f"{mode.value}-pt{point_index}"
-    )
-    plan = None
-    if config.sampling is not None:
-        plan = plan_sampling(
-            result.telemetry, config.sampling, alerts=result.alerts
-        )
-    write_artifact(
-        f"{stem}.jsonl",
-        result.telemetry,
-        meta={
-            "mode": mode.value,
-            "offered_rps": load,
-            "seed": config.seed,
-            "benchmark": config.benchmark,
-            "slo_s": config.slo_s,
-        },
-        rollups=result.rollups,
-        alerts=result.alerts,
-        sampling=plan,
-    )
-    write_chrome_trace(
-        f"{stem}.trace.json", result.telemetry,
-        rollups=result.rollups, alerts=result.alerts,
-    )
-
-
 def run_sweep_point(
     config: SweepConfig, mode: Mode, point_index: int
 ) -> SweepPoint:
@@ -291,46 +260,27 @@ def run_sweep_point(
     The unit of work sharded sweep execution distributes
     (:mod:`repro.eval.orchestrator`); :func:`run_sweep` is exactly this
     over the whole grid, so a point computed here is byte-identical to
-    the same point inside a full sweep.
+    the same point inside a full sweep. With ``artifact_dir`` set, the
+    point's run artifact is joined by a Chrome-trace/Perfetto export.
     """
-    load = config.offered_loads_rps[point_index]
-    chains = config.build_chains()
-    base = (
-        replace(config.system, mode=mode)
-        if config.system is not None
-        else SystemConfig(mode=mode)
-    )
-    system = DMXSystem(
-        chains, base, faults=config.faults, backends=config.backends,
-    )
-    per_tenant = load / len(chains)
-    tenants = [
-        TenantSpec(
-            name=chain.name,
-            arrivals=make_arrivals(config.arrival_kind, per_tenant),
-            n_requests=config.requests_per_tenant,
-            queue_capacity=config.queue_capacity,
+    scenario = config.scenario(mode, point_index)
+    if config.artifact_dir is None:
+        result = run_scenario(scenario).result
+    else:
+        stem = os.path.join(
+            config.artifact_dir, f"{mode.value}-pt{point_index}"
         )
-        for chain in chains
-    ]
-    frontend = ServingFrontend(
-        system,
-        tenants,
-        FrontendConfig(
-            max_inflight=config.max_inflight,
-            shed=config.shed,
-            discipline=config.discipline,
-            slo_s=config.slo_s,
-            sample_period_s=config.sample_period_s,
-            batching=config.batching,
-            observation=config.observation,
-        ),
-        seed=config.seed,
-    )
-    result = frontend.run()
-    if config.artifact_dir is not None:
-        _write_point_artifacts(config, mode, point_index, load, result)
-    return _point(mode, load, result)
+        result = run_scenario(
+            scenario, f"{stem}.jsonl",
+            meta={"benchmark": config.benchmark}, sampling=config.sampling,
+        ).result
+        from ..telemetry import write_chrome_trace
+
+        write_chrome_trace(
+            f"{stem}.trace.json", result.telemetry,
+            rollups=result.rollups, alerts=result.alerts,
+        )
+    return _point(mode, scenario.offered_rps, result)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -351,7 +301,7 @@ def calibrate_peak_rps(config: SweepConfig, mode: Mode) -> float:
     An upper bound on the sustainable online load; sweep drivers use it
     to place their offered-load grid around the knee.
     """
-    chains = config.build_chains()
+    chains = config.scenario(mode, 0).build_chains()
     system = DMXSystem(chains, SystemConfig(mode=mode))
     return system.run_throughput(requests_per_app=8).throughput()
 
@@ -359,6 +309,6 @@ def calibrate_peak_rps(config: SweepConfig, mode: Mode) -> float:
 def unloaded_latency(config: SweepConfig, mode: Mode) -> float:
     """Mean end-to-end latency with a single closed-loop client per
     tenant — the no-queueing service-latency floor SLOs are set from."""
-    chains = config.build_chains()
+    chains = config.scenario(mode, 0).build_chains()
     system = DMXSystem(chains, SystemConfig(mode=mode))
     return system.run_latency(requests_per_app=2).mean_latency()

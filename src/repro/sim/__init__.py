@@ -12,13 +12,7 @@ from .engine import (
     WaitTimeout,
 )
 from .resources import PriorityResource, Request, Resource, Server, Store
-from .tracing import (
-    FaultRecord,
-    PhaseAccumulator,
-    Trace,
-    exact_percentile,
-    geometric_mean,
-)
+from .tracing import PhaseAccumulator, exact_percentile, geometric_mean
 
 __all__ = [
     "AllOf",
@@ -30,14 +24,12 @@ __all__ = [
     "Simulator",
     "Timeout",
     "WaitTimeout",
-    "FaultRecord",
     "PriorityResource",
     "Request",
     "Resource",
     "Server",
     "Store",
     "PhaseAccumulator",
-    "Trace",
     "exact_percentile",
     "geometric_mean",
 ]

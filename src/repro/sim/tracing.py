@@ -1,108 +1,20 @@
 """Lightweight accounting for simulation runs.
 
 The DMX experiments need per-request latency broken into phases
-(kernel / restructuring / movement) and a record of what the fault
-layer did. :class:`PhaseAccumulator` sums phase durations; :class:`Trace`
-collects :class:`FaultRecord` point events; both are cheap enough to
-leave always-on.
+(kernel / restructuring / movement): :class:`PhaseAccumulator` sums
+phase durations, cheap enough to leave always-on. What the fault layer
+did lands in the run's telemetry as ``"fault"``-category instants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 __all__ = [
-    "FaultRecord",
-    "Trace",
     "PhaseAccumulator",
     "exact_percentile",
 ]
-
-
-@dataclass(frozen=True)
-class FaultRecord:
-    """One fault-related occurrence on the recovery plane.
-
-    ``kind`` is an open vocabulary; the fault layer emits
-    ``inject:fail`` / ``inject:hang`` / ``inject:delay`` for injected
-    faults, ``timeout`` for missed deadlines, ``retry`` for re-attempts,
-    ``fallback`` for DRX→CPU degradations, and ``giveup`` when recovery
-    is exhausted.
-    """
-
-    time: float
-    actor: str
-    kind: str
-    site: str = ""
-    request_id: int = -1
-    detail: str = ""
-
-
-class Trace:
-    """Append-only stream of :class:`FaultRecord` point events, so
-    injected faults, retries, and fallbacks can be queried after a run.
-    """
-
-    def __init__(
-        self,
-        note_listener: Optional[Callable[[FaultRecord], None]] = None,
-    ) -> None:
-        self.events: List[FaultRecord] = []
-        # Request-id index: the report CLI asks for one request's faults
-        # at a time, which would otherwise be an O(n) scan per request
-        # (O(n^2) across a large serving run).
-        self._events_by_request: Dict[int, List[FaultRecord]] = {}
-        # Optional mirror: every fault note is forwarded (the telemetry
-        # layer subscribes to surface fault events as instants).
-        self._note_listener = note_listener
-
-    def note(
-        self,
-        time: float,
-        actor: str,
-        kind: str,
-        site: str = "",
-        request_id: int = -1,
-        detail: str = "",
-    ) -> None:
-        """Record one fault-plane point event."""
-        event = FaultRecord(time, actor, kind, site, request_id, detail)
-        self.events.append(event)
-        self._events_by_request.setdefault(request_id, []).append(event)
-        if self._note_listener is not None:
-            self._note_listener(event)
-
-    def faults(
-        self,
-        kind: Optional[str] = None,
-        site: Optional[str] = None,
-        request_id: Optional[int] = None,
-    ) -> List[FaultRecord]:
-        """Fault events matching the filters (all by default).
-
-        A ``request_id`` filter uses the per-request index instead of
-        scanning the full event stream.
-        """
-        events: Iterable[FaultRecord] = (
-            self.events
-            if request_id is None
-            else self._events_by_request.get(request_id, ())
-        )
-        return [
-            ev
-            for ev in events
-            if (kind is None or ev.kind == kind)
-            and (site is None or ev.site == site)
-        ]
-
-    def fault_counts(self) -> Dict[str, int]:
-        """Number of fault events keyed by kind."""
-        out: Dict[str, int] = {}
-        for ev in self.events:
-            out[ev.kind] = out.get(ev.kind, 0) + 1
-        return out
 
 
 class PhaseAccumulator:

@@ -208,13 +208,11 @@ class SpanTracker:
         category: str,
         actor: str = "",
         request_id: int = -1,
-        time: Optional[float] = None,
         **attrs: object,
     ) -> Instant:
-        """Record a point event at the current sim time (or ``time``)."""
+        """Record a point event at the current sim time."""
         event = Instant(
-            self.sim.now if time is None else time,
-            name, category, actor, request_id, attrs,
+            self.sim.now, name, category, actor, request_id, attrs
         )
         self.instants.append(event)
         return event

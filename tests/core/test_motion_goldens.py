@@ -3,7 +3,7 @@
 Each scenario below was run once and the SHA-256 of its canonical JSON
 pinned here: the request records, the run's telemetry artifact lines
 (span names, kinds, parents and attributes), and — where faults are
-armed — ``fault_trace.fault_counts()``. Together they cover each
+armed — the count of each ``"fault"`` instant name. Together they cover each
 placement mode single and batched, DRX-deadline fallbacks, a crash with
 drain + rescue + revive under batching, the 4-backend planner, and one
 batched, faulted serving run's schema-2 artifact bytes. A change to the
@@ -12,6 +12,7 @@ If a change of simulated behaviour is deliberate, recapture every hash
 together and say why.
 """
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -154,8 +155,10 @@ def make_chain(i):
 
 def _digest(records, system=None, telemetry=None, extra=None):
     body = {"records": [dataclasses.asdict(r) for r in records]}
-    if system is not None and system.fault_trace is not None:
-        body["faults"] = system.fault_trace.fault_counts()
+    if system is not None and system.injector is not None:
+        body["faults"] = dict(collections.Counter(
+            i.name for i in system.telemetry.instants if i.category == "fault"
+        ))
     if telemetry is not None:
         body["artifact"] = list(artifact_lines(telemetry))
     if extra is not None:

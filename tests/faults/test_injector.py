@@ -3,7 +3,8 @@
 import pytest
 
 from repro.faults import FaultInjector, FaultKind, FaultPolicy, InjectedFault
-from repro.sim import Interrupt, Simulator, Trace
+from repro.sim import Interrupt, Simulator
+from repro.telemetry import Telemetry
 
 
 def run_draws(seed, policy, n=200):
@@ -153,13 +154,13 @@ def test_guard_closes_unstarted_op_generator():
         next(gen)
 
 
-def test_trace_records_injections():
+def test_injected_fault_lands_as_telemetry_instant():
     sim = Simulator()
-    trace = Trace()
+    telemetry = Telemetry(sim)
     injector = FaultInjector(
         sim, seed=0,
         policies={"dma": FaultPolicy(fail_p=1.0)},
-        trace=trace,
+        telemetry=telemetry,
     )
 
     def op(sim):
@@ -174,8 +175,9 @@ def test_trace_records_injections():
 
     sim.spawn(proc(sim))
     sim.run()
-    record, = trace.faults(kind="inject:fail")
-    assert record.site == "dma"
-    assert record.actor == "eng0"
-    assert record.request_id == 42
-    assert trace.fault_counts() == {"inject:fail": 1}
+    instant, = telemetry.instants
+    assert (instant.name, instant.category) == ("inject:fail", "fault")
+    assert instant.time == 0.0
+    assert instant.actor == "eng0"
+    assert instant.request_id == 42
+    assert instant.attrs == {"site": "dma", "detail": ""}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.serve.slo import LatencyTracker
-from repro.sim import PhaseAccumulator, Trace, geometric_mean
+from repro.sim import PhaseAccumulator, geometric_mean
 
 
 def _summary(latencies):
@@ -94,25 +94,3 @@ def test_exact_percentile_matches_serving_tracker():
         tracker.add(x)
     for q in (0.5, 0.95, 0.99):
         assert tracker.percentile(q) == exact_percentile(sorted(samples), q)
-
-
-def test_trace_faults_indexed_by_request():
-    trace = Trace()
-    trace.note(1.0, "dma", "retry", site="dma", request_id=3)
-    trace.note(2.0, "drx", "fallback", site="drx", request_id=3)
-    trace.note(3.0, "dma", "retry", site="dma", request_id=4)
-    assert len(trace.faults(request_id=3)) == 2
-    assert len(trace.faults(kind="retry", request_id=3)) == 1
-    assert trace.faults(request_id=3) == [
-        ev for ev in trace.events if ev.request_id == 3
-    ]
-    assert trace.faults(request_id=99) == []
-
-
-def test_trace_note_listener_mirrors_every_event():
-    seen = []
-    trace = Trace(note_listener=seen.append)
-    trace.note(1.0, "dma", "retry", site="dma", request_id=7)
-    trace.note(2.0, "drx", "timeout", site="drx")
-    assert [ev.kind for ev in seen] == ["retry", "timeout"]
-    assert seen[0].request_id == 7

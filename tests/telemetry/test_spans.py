@@ -57,8 +57,6 @@ def test_instant_defaults_to_sim_now():
     event = tracker.instant("retry", "fault", actor="dma", site="dma")
     assert event.time == 2.0
     assert event.attrs == {"site": "dma"}
-    explicit = tracker.instant("late", "fault", time=9.0)
-    assert explicit.time == 9.0
 
 
 def test_mark_abandoned_closes_and_flags_subtree():
