@@ -33,7 +33,7 @@ so every threshold below is exact, not statistical.
 import pytest
 
 from repro.control import ControllerConfig
-from repro.core import Mode, SystemConfig
+from repro.core import DMXSystem, Mode, SystemConfig
 from repro.faults import CrashPlan, DomainCrash
 from repro.resilience import ResilienceConfig
 from repro.resilience.brownout import BrownoutConfig
@@ -43,6 +43,7 @@ from repro.serve import (
     PoissonArrivals,
     RampArrivals,
     Scenario,
+    ServingFrontend,
     SweepConfig,
     TenantSpec,
     calibrate_peak_rps,
@@ -86,7 +87,7 @@ def _ramp_run(peak, *, controller=None, brownout=None, weights=None,
               kill=None):
     quiet = 0.30 * peak / N_TENANTS
     hot = 1.15 * peak / N_TENANTS
-    result, frontend = run_scenario(Scenario(
+    scenario = Scenario(
         tenants=tuple(
             TenantSpec(
                 name="",
@@ -102,14 +103,28 @@ def _ramp_run(peak, *, controller=None, brownout=None, weights=None,
         n_tenants=N_TENANTS,
         system=SystemConfig(mode=Mode.STANDALONE),
         resilience=ResilienceConfig(seed=7),
-        dead_targets=(kill,) if kill is not None else (),
         frontend=FrontendConfig(
             max_inflight=6, discipline=Discipline.WRR, slo_s=SLO_S,
             brownout=brownout, controller=controller,
             observation=ObservationConfig(alerts=None),
         ),
         seed=3,
-    ))
+    )
+    if kill is None:
+        result, frontend = run_scenario(scenario)
+        return result, frontend.controller_actions
+    # The fixed-capacity baseline never gets the killed card: it is
+    # decommissioned before the first arrival.
+    chains = scenario.build_chains()
+    system = DMXSystem(
+        chains, scenario.system, resilience=scenario.resilience
+    )
+    system.control.mark_dead(kill)
+    frontend = ServingFrontend(
+        system, scenario.tenant_specs(chains), scenario.frontend,
+        seed=scenario.seed,
+    )
+    result = frontend.run()
     return result, frontend.controller_actions
 
 

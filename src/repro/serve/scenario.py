@@ -59,9 +59,6 @@ class Scenario:
 
     **The system** is ``system`` plus the ``DMXSystem`` arms
     ``faults``, ``resilience``, ``backends`` and ``domains``.
-    ``dead_targets`` are decommissioned (breaker DEAD) before the first
-    arrival, e.g. a card a fixed-capacity baseline never gets; they
-    need ``resilience``.
     """
 
     offered_rps: Optional[float] = None
@@ -77,15 +74,12 @@ class Scenario:
     resilience: Optional[ResilienceConfig] = None
     backends: Optional["PlannerConfig"] = None
     domains: Optional[CrashPlan] = None
-    dead_targets: Tuple[str, ...] = ()
     frontend: FrontendConfig = FrontendConfig()
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_tenants <= 0:
             raise ValueError("n_tenants must be positive")
-        if self.dead_targets and self.resilience is None:
-            raise ValueError("dead_targets requires resilience")
         if self.tenants:
             if self.offered_rps is not None:
                 raise ValueError("give offered_rps or tenants, not both")
@@ -163,8 +157,6 @@ def run_scenario(
         backends=scenario.backends,
         domains=scenario.domains,
     )
-    for target in scenario.dead_targets:
-        system.control.mark_dead(target)
     frontend = ServingFrontend(
         system,
         scenario.tenant_specs(chains),

@@ -5,14 +5,10 @@ import json
 
 import pytest
 
-from repro.core import Mode, SystemConfig
+from repro.core import SystemConfig
 from repro.eval.orchestrator import grid_points
 from repro.faults import DomainCrash
-from repro.resilience import (
-    ChaosSweepConfig,
-    RecoveryScenarioConfig,
-    ResilienceConfig,
-)
+from repro.resilience import ChaosSweepConfig, RecoveryScenarioConfig
 from repro.serve import (
     DeterministicArrivals,
     FrontendConfig,
@@ -61,8 +57,6 @@ def test_scenario_needs_exactly_one_traffic_shape():
         Scenario()
     with pytest.raises(ValueError, match="not both"):
         Scenario(offered_rps=10.0, tenants=(spec,))
-    with pytest.raises(ValueError, match="requires resilience"):
-        Scenario(offered_rps=10.0, dead_targets=("drx.s1",))
 
 
 def test_explicit_tenants_bind_to_chains_by_position():
@@ -82,21 +76,6 @@ def test_explicit_tenants_bind_to_chains_by_position():
     }
     with pytest.raises(ValueError, match="1 tenant specs for 2 chains"):
         run_scenario(Scenario(tenants=specs[:1]))
-
-
-def test_dead_targets_are_decommissioned_before_the_first_arrival():
-    run = run_scenario(Scenario(
-        offered_rps=400.0,
-        requests_per_tenant=4,
-        n_tenants=4,
-        system=SystemConfig(mode=Mode.STANDALONE),
-        resilience=ResilienceConfig(),
-        dead_targets=("drx.s1",),
-    ))
-    assert run.frontend.system.control.dead_targets() == ["drx.s1"]
-    assert not any(
-        span.actor == "drx.s1" for span in run.result.telemetry.spans
-    )
 
 
 def test_run_scenario_writes_and_verifies_one_artifact(tmp_path):
